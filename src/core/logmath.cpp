@@ -50,25 +50,6 @@ bool is_square(std::uint64_t x) {
   return r * r == x;
 }
 
-std::int64_t div_ceil(std::int64_t a, std::int64_t b) {
-  BSMP_REQUIRE(b > 0);
-  return div_floor(a + b - 1, b);
-}
-
-std::int64_t div_floor(std::int64_t a, std::int64_t b) {
-  BSMP_REQUIRE(b > 0);
-  std::int64_t q = a / b;
-  if (a % b != 0 && a < 0) --q;
-  return q;
-}
-
-std::int64_t mod_floor(std::int64_t a, std::int64_t b) {
-  BSMP_REQUIRE(b > 0);
-  std::int64_t r = a % b;
-  if (r < 0) r += b;
-  return r;
-}
-
 std::uint64_t ipow(std::uint64_t base, unsigned exp) {
   std::uint64_t r = 1;
   while (exp--) r *= base;

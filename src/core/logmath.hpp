@@ -9,6 +9,8 @@
 
 #include <cstdint>
 
+#include "core/expect.hpp"
+
 namespace bsmp::core {
 
 /// The paper's saturated logarithm: loḡ(a) = log2(a + 2) >= 1 for a >= 0.
@@ -36,14 +38,30 @@ std::uint64_t isqrt(std::uint64_t x);
 /// True iff x is a perfect square.
 bool is_square(std::uint64_t x);
 
-/// ceil(a / b) for b > 0.
-std::int64_t div_ceil(std::int64_t a, std::int64_t b);
+// The division helpers are inline: tile grids, regime-2 cell counts
+// and per-subtile processor lookups call them in loops.
 
 /// Floor division that rounds toward negative infinity (unlike C++ '/').
-std::int64_t div_floor(std::int64_t a, std::int64_t b);
+inline std::int64_t div_floor(std::int64_t a, std::int64_t b) {
+  BSMP_REQUIRE(b > 0);
+  std::int64_t q = a / b;
+  if (a % b != 0 && a < 0) --q;
+  return q;
+}
+
+/// ceil(a / b) for b > 0.
+inline std::int64_t div_ceil(std::int64_t a, std::int64_t b) {
+  BSMP_REQUIRE(b > 0);
+  return div_floor(a + b - 1, b);
+}
 
 /// Mathematical modulus in [0, b) for b > 0 (unlike C++ '%').
-std::int64_t mod_floor(std::int64_t a, std::int64_t b);
+inline std::int64_t mod_floor(std::int64_t a, std::int64_t b) {
+  BSMP_REQUIRE(b > 0);
+  std::int64_t r = a % b;
+  if (r < 0) r += b;
+  return r;
+}
 
 /// Integer power base^exp (no overflow checking; callers keep it small).
 std::uint64_t ipow(std::uint64_t base, unsigned exp);

@@ -14,9 +14,18 @@
 // child occupies, is a topological partition in the sense of
 // Definition 4 — reproducing the paper's 4-way diamond split, the
 // 14-piece octahedron split and the 5-piece tetrahedron split exactly.
+//
+// The separator is self-similar: the recursion nodes of one shape are
+// lattice translates of each other, with equal boundary counts and
+// equal nonempty children. preboundary_count(), outset_count() and
+// split() are therefore served by a bounded per-thread memo keyed by
+// translation class (see "Translation-class memo" below); the *_direct
+// forms compute from the box alone.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -27,10 +36,93 @@
 
 namespace bsmp::geom {
 
+/// Counters of one thread's translation-class memo (Region::memo_stats).
+struct RegionMemoStats {
+  std::uint64_t hits = 0;    ///< queries answered from a stored entry
+  std::uint64_t misses = 0;  ///< queries computed by the direct code
+  std::size_t entries = 0;   ///< translation classes stored now
+};
+
+namespace detail {
+
+/// The translation-class memo behind Region's boundary counts and
+/// split(): a fixed-capacity 4-way set-associative table, one per
+/// thread and dimension (see Region::memo_key for what a key is). It
+/// never grows: a new class landing in a full set replaces that set's
+/// ways in turn.
+template <int D>
+class RegionMemo {
+ public:
+  static constexpr int K = kMono<D>;
+  /// Box sizes, m, the parity bits, D-1 sum offsets, 2D+2 wall terms.
+  static constexpr int kKeyLen = K + 2 + (D - 1) + 2 * D + 2;
+  static constexpr std::size_t kWays = 4;
+  static constexpr std::size_t kSets = 256;
+  static constexpr std::size_t kCapacity = kWays * kSets;
+  using Key = std::array<std::int32_t, kKeyLen>;
+
+  struct Entry {
+    Key key{};
+    bool used = false;
+    bool split_known = false;  ///< kids is computed
+    /// Bit c set: the child whose upper-half coordinates are the bits
+    /// of mask c is nonempty.
+    std::uint64_t kids = 0;
+    std::int64_t pre = -1;  ///< preboundary count; -1: not computed yet
+    std::int64_t out = -1;  ///< out-set count; -1: not computed yet
+  };
+
+  /// The entry of `key`, inserted empty if absent.
+  Entry& find(const Key& key) {
+    if (table_.empty()) {
+      table_.resize(kCapacity);
+      victim_.resize(kSets);
+    }
+    const std::size_t set = hash(key) & (kSets - 1);
+    Entry* ways = &table_[set * kWays];
+    Entry* slot = nullptr;
+    for (std::size_t w = 0; w < kWays; ++w) {
+      if (ways[w].used && ways[w].key == key) return ways[w];
+      if (!ways[w].used && slot == nullptr) slot = &ways[w];
+    }
+    if (slot != nullptr) {
+      ++stats.entries;
+    } else {
+      slot = &ways[victim_[set]];
+      victim_[set] = static_cast<std::uint8_t>((victim_[set] + 1) % kWays);
+    }
+    *slot = Entry{};
+    slot->key = key;
+    slot->used = true;
+    return *slot;
+  }
+
+  RegionMemoStats stats;
+
+ private:
+  static std::size_t hash(const Key& key) {
+    std::uint64_t h = 0;
+    for (std::int32_t v : key)
+      h = (std::rotl(h, 5) ^ static_cast<std::uint32_t>(v)) *
+          0x517cc1b727220a95ULL;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+
+  std::vector<Entry> table_;
+  std::vector<std::uint8_t> victim_;  ///< per set: the way replaced next
+};
+
+}  // namespace detail
+
+template <int D>
+class RegionChildren;
+
 template <int D>
 class Region {
  public:
   static constexpr int K = kMono<D>;
+  /// split()'s children in a fixed-capacity inline array (2^K slots).
+  using Children = RegionChildren<D>;
 
   /// Box [lo_k, hi_k) in monotone coordinates over `stencil`'s vertex
   /// set. The stencil must outlive the region.
@@ -71,8 +163,9 @@ class Region {
     for (int i = 0; i < D; ++i) {
       int64_t sum_lo = lo_[2 * i] + lo_[2 * i + 1];
       int64_t sum_hi = (hi_[2 * i] - 1) + (hi_[2 * i + 1] - 1);
-      tmin = std::max(tmin, core::div_ceil(sum_lo, 2));
-      tmax = std::min(tmax, core::div_floor(sum_hi, 2));
+      // Halving by arithmetic shift: floor division by 2 for any sign.
+      tmin = std::max(tmin, (sum_lo + 1) >> 1);
+      tmax = std::min(tmax, sum_hi >> 1);
     }
     return {tmin, tmax};
   }
@@ -148,57 +241,52 @@ class Region {
   /// Midpoint split into at most 2^K children, in topological order
   /// (children sorted by the number of upper halves they occupy; equal
   /// counts are mutually independent). Empty children are dropped.
-  /// Coordinates with a side of length < 2 are not split.
+  /// Coordinates with a side of length < 2 are not split. Which
+  /// children are nonempty comes from the translation-class memo.
   std::vector<Region> split() const {
-    std::array<int64_t, K> mid;
-    std::array<bool, K> splits;
-    int nsplit = 0;
-    for (int k = 0; k < K; ++k) {
-      splits[k] = (hi_[k] - lo_[k]) >= 2;
-      mid[k] = lo_[k] + (hi_[k] - lo_[k]) / 2;
-      if (splits[k]) ++nsplit;
-    }
-    BSMP_REQUIRE_MSG(nsplit > 0, "cannot split a region of width 1");
+    Children kids;
+    split_into(kids);
+    return std::vector<Region>(kids.begin(), kids.end());
+  }
 
-    struct Child {
-      Region r;
-      int uppers;
-    };
-    std::vector<Child> kids;
-    for (unsigned mask = 0; mask < (1u << K); ++mask) {
-      std::array<int64_t, K> clo = lo_, chi = hi_;
-      bool valid = true;
-      int uppers = 0;
-      for (int k = 0; k < K; ++k) {
-        bool up = (mask >> k) & 1u;
-        if (!splits[k]) {
-          if (up) {
-            valid = false;  // no upper half for unsplit coordinates
-            break;
-          }
-          continue;
-        }
-        if (up) {
-          clo[k] = mid[k];
-          ++uppers;
-        } else {
-          chi[k] = mid[k];
-        }
+  /// split() into a fixed-capacity inline array: no heap allocation.
+  /// The executor and the regime-1 relocation recurse through this.
+  void split_into(Children& out) const {
+    std::uint64_t kids;
+    typename Memo::Key key;
+    Memo& memo = local_memo();
+    if (memo_key(key)) {
+      typename Memo::Entry& e = memo.find(key);
+      // A hit implies a splittable box: the sizes are part of the key.
+      if (!e.split_known) {
+        e.kids = nonempty_children();
+        e.split_known = true;
+        ++memo.stats.misses;
+      } else {
+        ++memo.stats.hits;
       }
-      if (!valid) continue;
-      Region child(stencil_, clo, chi);
-      if (child.empty()) continue;
-      kids.push_back({std::move(child), uppers});
+      kids = e.kids;
+    } else {
+      ++memo.stats.misses;
+      kids = nonempty_children();
     }
-    std::stable_sort(kids.begin(), kids.end(),
-                     [](const Child& a, const Child& b) {
-                       return a.uppers < b.uppers;
-                     });
+    out.n_ = 0;
+    for_each_child(kids, [&](unsigned mask) {
+      out.kids_[out.n_++] = child_of(mask);
+    });
+  }
+
+  /// split() computed from the box alone, bypassing the memo (the
+  /// reference the memo is tested against).
+  std::vector<Region> split_direct() const {
     std::vector<Region> out;
-    out.reserve(kids.size());
-    for (auto& k : kids) out.push_back(std::move(k.r));
+    for_each_child(nonempty_children(),
+                   [&](unsigned mask) { out.push_back(child_of(mask)); });
     return out;
   }
+
+  /// This thread's memo counters for dimension D.
+  static RegionMemoStats memo_stats() { return local_memo().stats; }
 
   /// Visit every point of the preboundary Γin(U): vertices outside U
   /// that are predecessors of some vertex of U (Section 3). Exact,
@@ -223,12 +311,20 @@ class Region {
     return out;
   }
 
-  /// |Γin(U)| without materializing the vector: sums the per-row
-  /// interval lengths of the same decomposition preboundary_visit
-  /// walks, so equality with preboundary().size() is exact (asserted
-  /// by the region property tests and by the executor's validation
-  /// mode) — but no per-point work at all.
+  /// |Γin(U)|, served by the translation-class memo: computed once per
+  /// class by preboundary_count_direct(), so equality with
+  /// preboundary().size() is exact (asserted by the region property
+  /// tests and, in validation mode, by every simulator that charges
+  /// it).
   int64_t preboundary_count() const {
+    return memo_count(&Memo::Entry::pre,
+                      [this] { return preboundary_count_direct(); });
+  }
+
+  /// |Γin(U)| without materializing the vector or consulting the memo:
+  /// sums the per-row interval lengths of the same decomposition
+  /// preboundary_visit walks — no per-point work at all.
+  int64_t preboundary_count_direct() const {
     int64_t n = 0;
     preboundary_rows([&](int64_t, std::array<int64_t, D>&,
                          const IvSet& s) { n += s.total(); });
@@ -287,10 +383,17 @@ class Region {
     return out;
   }
 
-  /// Out-set size without materializing the vector — sums the per-row
-  /// interval lengths of the decomposition outset_visit walks, so
-  /// equality with outset().size() is exact.
+  /// Out-set size, served by the translation-class memo (computed once
+  /// per class by outset_count_direct()); equal to outset().size().
   int64_t outset_count() const {
+    return memo_count(&Memo::Entry::out,
+                      [this] { return outset_count_direct(); });
+  }
+
+  /// Out-set size without materializing the vector or consulting the
+  /// memo — sums the per-row interval lengths of the decomposition
+  /// outset_visit walks, so equality with outset().size() is exact.
+  int64_t outset_count_direct() const {
     int64_t n = 0;
     outset_rows([&](int64_t, std::array<int64_t, D>&, const IvSet& s) {
       n += s.total();
@@ -374,6 +477,143 @@ class Region {
   }
 
  private:
+  friend class RegionChildren<D>;
+  using Memo = detail::RegionMemo<D>;
+
+  // Uninitialized; only RegionChildren's inline slots use it.
+  Region() = default;
+
+  // ---- Translation-class memo ------------------------------------------
+  //
+  // The separator is self-similar, so most recursion nodes are lattice
+  // translates of one another, and a translate has the same boundary
+  // counts and the same nonempty split children. Two boxes are exact
+  // translates when they have equal sizes hi - lo, equal parities of
+  // lo[2i] - lo[2i+1] and equal offsets (lo0 + lo1) - (lo[2i] +
+  // lo[2i+1]): then lo' - lo = (dt + dx_i, dt - dx_i)_i for a lattice
+  // vector (dx, dt). The counts and children depend on the vertex set
+  // only within reach R of the box in every monotone coordinate (the
+  // preboundary's lower shell, the out-set's successor positions), so
+  // the key adds, per wall (t = 0, the horizon, x_i = 0 and
+  // x_i = extent_i - 1), the box's distance from it in doubled units,
+  // clamped at 2R: from 2R on the wall cuts nothing within reach and
+  // its exact distance no longer matters. Below the clamp an equal
+  // distance puts the wall at the same place relative to both boxes.
+  // The key holds m but no stencil pointer, so translates on different
+  // stencils share entries.
+
+  static Memo& local_memo() {
+    thread_local Memo memo;
+    return memo;
+  }
+
+  // Fill `key` with the box's translation class; false when a term
+  // does not fit the memo's 32-bit key (the caller computes directly).
+  bool memo_key(typename Memo::Key& key) const {
+    const Stencil<D>& st = *stencil_;
+    const int64_t r2 = 2 * st.reach();
+    std::array<int64_t, Memo::kKeyLen> v;
+    int n = 0;
+    for (int k = 0; k < K; ++k) v[n++] = hi_[k] - lo_[k];
+    v[n++] = st.m;
+    int64_t parity = 0;
+    for (int i = 0; i < D; ++i)
+      parity |= ((lo_[2 * i] - lo_[2 * i + 1]) & 1) << i;
+    v[n++] = parity;
+    const int64_t s0 = lo_[0] + lo_[1];
+    int64_t sum_lo = s0;
+    int64_t sum_hi = hi_[0] + hi_[1];
+    for (int i = 1; i < D; ++i) {
+      const int64_t si = lo_[2 * i] + lo_[2 * i + 1];
+      v[n++] = s0 - si;
+      sum_lo = std::max(sum_lo, si);
+      sum_hi = std::min(sum_hi, hi_[2 * i] + hi_[2 * i + 1]);
+    }
+    // Doubled t of the box's lowest and highest points (2t = c_2i +
+    // c_2i+1), and doubled x_i of its leftmost and rightmost ones.
+    v[n++] = std::min(sum_lo, r2);
+    v[n++] = std::min(2 * (st.horizon - 1) - (sum_hi - 2), r2);
+    for (int i = 0; i < D; ++i) {
+      v[n++] = std::min(lo_[2 * i] - hi_[2 * i + 1] + 1, r2);
+      v[n++] = std::min(
+          2 * (st.extent[i] - 1) - (hi_[2 * i] - lo_[2 * i + 1] - 1), r2);
+    }
+    for (int j = 0; j < Memo::kKeyLen; ++j) {
+      if (v[j] < std::numeric_limits<std::int32_t>::min() ||
+          v[j] > std::numeric_limits<std::int32_t>::max())
+        return false;
+      key[j] = static_cast<std::int32_t>(v[j]);
+    }
+    return true;
+  }
+
+  // One memoized count: the entry's field, computed by `direct` on the
+  // class's first query.
+  template <class F>
+  int64_t memo_count(int64_t Memo::Entry::*field, F&& direct) const {
+    typename Memo::Key key;
+    Memo& memo = local_memo();
+    if (!memo_key(key)) {
+      ++memo.stats.misses;
+      return direct();
+    }
+    typename Memo::Entry& e = memo.find(key);
+    if (e.*field < 0) {
+      e.*field = direct();
+      ++memo.stats.misses;
+    } else {
+      ++memo.stats.hits;
+    }
+    return e.*field;
+  }
+
+  // The child whose coordinates with bit k set in `mask` take the
+  // upper half (split coordinates only).
+  Region child_of(unsigned mask) const {
+    Region c = *this;
+    for (int k = 0; k < K; ++k) {
+      if (hi_[k] - lo_[k] < 2) continue;
+      const int64_t mid = lo_[k] + (hi_[k] - lo_[k]) / 2;
+      if ((mask >> k) & 1u)
+        c.lo_[k] = mid;
+      else
+        c.hi_[k] = mid;
+    }
+    return c;
+  }
+
+  // Bit c set iff child c (see child_of) is nonempty.
+  std::uint64_t nonempty_children() const {
+    unsigned splits = 0;
+    for (int k = 0; k < K; ++k)
+      if (hi_[k] - lo_[k] >= 2) splits |= 1u << k;
+    BSMP_REQUIRE_MSG(splits != 0, "cannot split a region of width 1");
+    std::uint64_t kids = 0;
+    for (unsigned mask = 0; mask < (1u << K); ++mask)
+      if ((mask & ~splits) == 0 && !child_of(mask).empty())
+        kids |= std::uint64_t{1} << mask;
+    return kids;
+  }
+
+  // Visit the children in `kids` in split() order: ascending number of
+  // upper halves, ascending mask within one count.
+  template <class F>
+  static void for_each_child(std::uint64_t kids, F&& f) {
+    for (int uppers = 0; uppers <= K; ++uppers) {
+      for (std::uint64_t bits = kids & kWithUppers[uppers]; bits != 0;
+           bits &= bits - 1)
+        f(static_cast<unsigned>(std::countr_zero(bits)));
+    }
+  }
+
+  // kWithUppers[u]: bit c set iff mask c < 2^K has u bits set.
+  static constexpr std::array<std::uint64_t, K + 1> kWithUppers = [] {
+    std::array<std::uint64_t, K + 1> a{};
+    for (unsigned c = 0; c < (1u << K); ++c)
+      a[static_cast<std::size_t>(std::popcount(c))] |= std::uint64_t{1} << c;
+    return a;
+  }();
+
   // ---- Row-interval boundary machinery ---------------------------------
   //
   // For a fixed row (time t and the outer spatial coordinates fixed,
@@ -635,6 +875,23 @@ class Region {
 
   const Stencil<D>* stencil_;
   std::array<int64_t, K> lo_, hi_;
+};
+
+/// The children of one Region::split_into() call, held inline: 2^K
+/// slots, no heap allocation, iterable like split()'s vector.
+template <int D>
+class RegionChildren {
+ public:
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  const Region<D>& operator[](std::size_t i) const { return kids_[i]; }
+  const Region<D>* begin() const { return kids_; }
+  const Region<D>* end() const { return kids_ + n_; }
+
+ private:
+  friend class Region<D>;
+  std::size_t n_ = 0;
+  Region<D> kids_[std::size_t{1} << kMono<D>];
 };
 
 }  // namespace bsmp::geom

@@ -24,7 +24,10 @@
 //
 // Hot path (see doc/ENGINE.md "Hot path" and doc/PERF.md): recursion
 // levels charge from Region::preboundary_count()/outset_count()
-// without materializing point vectors; leaves run in a dense window
+// without materializing point vectors, and split into an inline child
+// array (Region::split_into) — counts and children both come from
+// Region's translation-class memo, so each shape is computed once, not
+// once per node; leaves run in a dense window
 // (sep/staging.hpp LeafWindow: per-time-level prefix offset + row-
 // major x offset) instead of a hash map, with per-leaf batched
 // kCompute and a bit-exact kLocalAccess charge stream; staging is any
@@ -117,6 +120,25 @@ struct ExecutorConfig {
   /// embedded executor as regime2-subtile.
   engine::ForkPhase fork_phase = engine::ForkPhase::kExecutorLeaf;
 };
+
+/// Validation mode's check of a memoized boundary count (a charged
+/// word count) against the materialized set it stands for.
+template <int D>
+void check_count(const std::vector<geom::Point<D>>& set, std::int64_t count,
+                 const char* what) {
+  BSMP_ASSERT_MSG(static_cast<std::int64_t>(set.size()) == count, what);
+}
+
+template <int D>
+void validate_preboundary_count(const geom::Region<D>& r,
+                                std::int64_t count) {
+  check_count(r.preboundary(), count, "preboundary_count != |preboundary()|");
+}
+
+template <int D>
+void validate_outset_count(const geom::Region<D>& r, std::int64_t count) {
+  check_count(r.outset(), count, "outset_count != |outset()|");
+}
 
 template <int D, class V = Word>
 class Executor {
@@ -325,7 +347,8 @@ class Executor {
                                     "sep-region", U.width(), cx.depth);
     const core::Cost fS =
         cfg_.f(static_cast<std::uint64_t>(space_bound(U.width())));
-    std::vector<geom::Region<D>> children = U.split();
+    typename geom::Region<D>::Children children;
+    U.split_into(children);
     ++cx.depth;
     if (should_fork(U)) {
       exec_children_forked(U, children, fS, cx, rule);
@@ -374,7 +397,7 @@ class Executor {
     const std::int64_t child_out = child.width() <= cfg_.leaf_width
                                        ? cx.leaf_out
                                        : child.outset_count();
-    if (cfg_.validate) validate_child_outset(child, child_out);
+    if (cfg_.validate) validate_outset_count(child, child_out);
     cx.ledger->charge(core::CostKind::kBlockMove,
                       2.0 * fS * static_cast<core::Cost>(child_out),
                       static_cast<std::uint64_t>(child_out));
@@ -402,10 +425,10 @@ class Executor {
   /// join then merges in canonical child order, reproducing the serial
   /// store state and charge sequence bit for bit.
   template <class Store, class Ledger, class RuleFn>
-  void exec_children_forked(const geom::Region<D>& U,
-                            const std::vector<geom::Region<D>>& children,
-                            core::Cost fS, Ctx<Store, Ledger>& cx,
-                            const RuleFn& rule) const {
+  void exec_children_forked(
+      const geom::Region<D>& U,
+      const typename geom::Region<D>::Children& children, core::Cost fS,
+      Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
     using Shard = typename ShardOf<D, Store>::type;
     // The fork's bookkeeping comes from the forking thread's scratch
     // pools: the ChargeLog checkout here, the shard's local store via
@@ -477,21 +500,13 @@ class Executor {
                             const Store& staging, std::int64_t width,
                             std::int64_t count) const {
     std::vector<geom::Point<D>> gin = child.preboundary();
-    BSMP_ASSERT_MSG(static_cast<std::int64_t>(gin.size()) == count,
-                    "preboundary_count != |preboundary()|");
+    check_count(gin, count, "preboundary_count != |preboundary()|");
     for (const auto& q : gin) {
       BSMP_ASSERT_MSG(store_find(staging, q) != nullptr,
                       "preboundary value missing: topological partition "
                       "violated at width "
                           << width);
     }
-  }
-
-  void validate_child_outset(const geom::Region<D>& child,
-                             std::int64_t count) const {
-    BSMP_ASSERT_MSG(
-        static_cast<std::int64_t>(child.outset().size()) == count,
-        "outset_count != |outset()|");
   }
 
   template <class Store>

@@ -127,11 +127,13 @@ SimResult<D, V> simulate_dc_uniproc(const sep::BasicGuest<D, V>& guest,
       // Tile preboundary comes from machine-scale memory (Prop. 2 at
       // the top level of the recursion).
       const std::int64_t gin = tile.preboundary_count();
+      if (ecfg.validate) sep::validate_preboundary_count(tile, gin);
       res.ledger.charge(core::CostKind::kBlockMove,
                         2.0 * f_top * static_cast<core::Cost>(gin),
                         static_cast<std::uint64_t>(gin));
       exec.execute(tile, staging);
       const std::int64_t out = tile.outset_count();
+      if (ecfg.validate) sep::validate_outset_count(tile, out);
       res.ledger.charge(core::CostKind::kBlockMove,
                         2.0 * f_top * static_cast<core::Cost>(out),
                         static_cast<std::uint64_t>(out));

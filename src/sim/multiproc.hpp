@@ -218,8 +218,7 @@ class MultiprocSimulator {
           engine::trace::Span tile_span(engine::trace::Cat::kSim,
                                         "machine-tile", tile.width(),
                                         static_cast<std::int64_t>(k));
-          charge_relocation_ctx(
-              cx, static_cast<std::size_t>(tile.preboundary_count()), rdist);
+          charge_relocation_ctx(cx, preboundary_words(tile), rdist);
           relocate_rec(tile, cx);
         }
       }
@@ -447,7 +446,8 @@ class MultiprocSimulator {
     }
     engine::trace::Span span(engine::trace::Cat::kSim, "regime1-relocate",
                              r.width());
-    std::vector<geom::Region<D>> children = r.split();
+    typename geom::Region<D>::Children children;
+    r.split_into(children);
     if (reloc_parallel(r)) {
       relocate_children_forked(r, children, cx);
     } else {
@@ -458,11 +458,23 @@ class MultiprocSimulator {
   template <class S>
   void relocate_child(const geom::Region<D>& child, PhaseCtx<S>& cx) {
     double dist = relocation_distance(child.width());
-    charge_relocation_ctx(
-        cx, static_cast<std::size_t>(child.preboundary_count()), dist);
+    charge_relocation_ctx(cx, preboundary_words(child), dist);
     relocate_rec(child, cx);
-    charge_relocation_ctx(cx, static_cast<std::size_t>(child.outset_count()),
-                          dist);
+    charge_relocation_ctx(cx, outset_words(child), dist);
+  }
+
+  /// Regime-1 boundary word counts, from the memo; validation mode
+  /// checks each against the materialized set.
+  std::size_t preboundary_words(const geom::Region<D>& r) const {
+    const std::int64_t n = r.preboundary_count();
+    if (exec_cfg_.validate) sep::validate_preboundary_count(r, n);
+    return static_cast<std::size_t>(n);
+  }
+
+  std::size_t outset_words(const geom::Region<D>& r) const {
+    const std::int64_t n = r.outset_count();
+    if (exec_cfg_.validate) sep::validate_outset_count(r, n);
+    return static_cast<std::size_t>(n);
   }
 
   /// Fork runs of consecutive equal-uppers children of one regime-1
@@ -472,9 +484,9 @@ class MultiprocSimulator {
   /// no child can feed another. Singleton runs execute in place so
   /// later runs see their out-sets.
   template <class S>
-  void relocate_children_forked(const geom::Region<D>& r,
-                                const std::vector<geom::Region<D>>& children,
-                                PhaseCtx<S>& cx) {
+  void relocate_children_forked(
+      const geom::Region<D>& r,
+      const typename geom::Region<D>::Children& children, PhaseCtx<S>& cx) {
     using Shard = typename sep::ShardOf<D, S>::type;
     struct Fork {
       engine::Scratch<PhaseLog> log;  // pooled on the forking thread
@@ -534,8 +546,7 @@ class MultiprocSimulator {
                                       "machine-tile", tile.width(),
                                       static_cast<std::int64_t>(k));
         PhaseCtx<Shard> cx{&*fk.shard, &*fk.log};
-        charge_relocation_ctx(
-            cx, static_cast<std::size_t>(tile.preboundary_count()), rdist);
+        charge_relocation_ctx(cx, preboundary_words(tile), rdist);
         relocate_rec(tile, cx);
       });
     }

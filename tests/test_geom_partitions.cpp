@@ -9,6 +9,7 @@
 // partition) and Definition 5 (convexity) by brute force.
 #include <gtest/gtest.h>
 
+#include "core/rng.hpp"
 #include "dag/explicit_dag.hpp"
 #include "geom/figures.hpp"
 #include "geom/region.hpp"
@@ -243,4 +244,80 @@ TEST(Split3D, D3SplitIsTopologicalPartition) {
   Region<3> p(&st, {2, -2, 2, -2, 2, -2}, {6, 2, 6, 2, 6, 2});
   ASSERT_FALSE(p.empty());
   expect_topological_partition(st, p, p.split());
+}
+
+// The executor and the regime-1 relocation split into an inline child
+// array (Region::split_into, served by the translation-class memo).
+// Its children must be the paper's pieces, in split()'s order, for the
+// Fig. 3 domains and for fuzzed boxes — compared against the direct
+// split the memo is filled from.
+namespace {
+
+template <int D>
+void expect_inline_split_matches(const Region<D>& r) {
+  typename Region<D>::Children kids;
+  r.split_into(kids);
+  const std::vector<Region<D>> vec = r.split();
+  const std::vector<Region<D>> direct = r.split_direct();
+  ASSERT_EQ(kids.size(), direct.size());
+  ASSERT_EQ(vec.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(kids[i].lo(), direct[i].lo()) << i;
+    EXPECT_EQ(kids[i].hi(), direct[i].hi()) << i;
+    EXPECT_EQ(vec[i].lo(), direct[i].lo()) << i;
+    EXPECT_EQ(vec[i].hi(), direct[i].hi()) << i;
+    EXPECT_EQ(&kids[i].stencil(), &r.stencil());
+  }
+}
+
+template <int D>
+std::size_t inline_split_size(const Region<D>& r) {
+  typename Region<D>::Children kids;
+  r.split_into(kids);
+  return kids.size();
+}
+
+}  // namespace
+
+TEST(InlineSplit, Fig3ChildCounts) {
+  Stencil<2> st{{32, 32}, 32, 1};
+  Region<2> p = geom::make_octahedron(&st, 8, -8, 8, -8, 16);
+  Region<2> w = geom::make_tetrahedron(&st, 16, -8, 8, -16, 16);
+  geom::Stencil<3> st3{{16, 16, 16}, 16, 1};
+  Region<3> p3(&st3, {4, -4, 4, -4, 4, -4}, {12, 4, 12, 4, 12, 4});
+  // Twice each: the second call is served by the memo.
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_EQ(inline_split_size(p), 14u);
+    EXPECT_EQ(inline_split_size(w), 5u);
+    EXPECT_EQ(inline_split_size(p3), 46u);
+    expect_inline_split_matches(p);
+    expect_inline_split_matches(w);
+    expect_inline_split_matches(p3);
+  }
+}
+
+TEST(InlineSplit, MatchesSplitOnFuzzedRegions) {
+  core::SplitMix64 rng(20260417);
+  auto fuzz = [&rng]<int D>(const Stencil<D>& st) {
+    constexpr int K = geom::kMono<D>;
+    std::array<int64_t, K> lo, hi;
+    for (int k = 0; k < K; ++k) {
+      const int64_t span = st.horizon + st.extent[k / 2];
+      lo[k] = static_cast<int64_t>(rng.next_below(
+                  static_cast<std::uint64_t>(span + 4))) -
+              (k % 2 == 0 ? 2 : st.extent[k / 2] + 2);
+      hi[k] = lo[k] + 2 + static_cast<int64_t>(rng.next_below(12));
+    }
+    return Region<D>(&st, lo, hi);
+  };
+  for (int64_t m : {1, 2, 4}) {
+    Stencil<1> s1{{20}, 20, m};
+    Stencil<2> s2{{10, 9}, 12, m};
+    Stencil<3> s3{{5, 5, 4}, 6, m};
+    for (int iter = 0; iter < 200; ++iter) {
+      expect_inline_split_matches(fuzz(s1));
+      expect_inline_split_matches(fuzz(s2));
+      expect_inline_split_matches(fuzz(s3));
+    }
+  }
 }

@@ -3,8 +3,12 @@
 // the explicit dag on random instances.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/rng.hpp"
 #include "dag/explicit_dag.hpp"
+#include "engine/pool.hpp"
 #include "geom/region.hpp"
 
 using namespace bsmp;
@@ -220,4 +224,295 @@ TEST(RegionEdge, WidthAndTimeRange) {
   EXPECT_EQ(tmin, 0);  // clipped at 0 even though the box dips below
   EXPECT_LE(tmax, 15);
   EXPECT_GE(tmax, tmin);
+}
+
+// ---- Translation-class memo -------------------------------------------
+//
+// Region's boundary counts and split children are served by a per-thread
+// memo keyed by translation class (geom/region.hpp). The tests below pin
+// the key's exactness: memoized counts == direct interval counts ==
+// materialized sizes, and memoized children == split_direct(), for the
+// boxes of every small shape at every offset on small stencils — walls,
+// t = 0 and the horizon included — so a key that merged two boxes that
+// are not translates, or a wall clamp set too tight, fails here. Each
+// (D, m) sweeps two stencils, so translates on different stencils share
+// entries as they do in a simulator run.
+
+namespace {
+
+template <int D>
+std::string box_str(const Region<D>& r) {
+  std::ostringstream os;
+  os << "m=" << r.stencil().m << " lo=(";
+  for (int64_t v : r.lo()) os << v << ' ';
+  os << ") hi=(";
+  for (int64_t v : r.hi()) os << v << ' ';
+  os << ')';
+  return os.str();
+}
+
+template <int D, class Kids>
+bool same_children(const Kids& got, const std::vector<Region<D>>& want) {
+  if (got.size() != want.size()) return false;
+  std::size_t i = 0;
+  for (const Region<D>& k : got) {
+    if (k.lo() != want[i].lo() || k.hi() != want[i].hi()) return false;
+    ++i;
+  }
+  return true;
+}
+
+/// Every memoized answer for `r` (one memo query each) against the
+/// direct code and the materialized sets; the first disagreement, or
+/// "" if none.
+template <int D>
+std::string memo_mismatch(const Region<D>& r) {
+  const int64_t pre = r.preboundary_count_direct();
+  const int64_t out = r.outset_count_direct();
+  if (r.preboundary_count() != pre) return "preboundary_count";
+  if (r.outset_count() != out) return "outset_count";
+  if (static_cast<int64_t>(r.preboundary().size()) != pre)
+    return "preboundary().size()";
+  if (static_cast<int64_t>(r.outset().size()) != out) return "outset().size()";
+  if (r.width() >= 2) {
+    typename Region<D>::Children kids;
+    r.split_into(kids);
+    if (!same_children<D>(kids, r.split_direct())) return "split_into()";
+  }
+  return "";
+}
+
+/// Range of monotone coordinate k over the stencil's vertices.
+template <int D>
+std::pair<int64_t, int64_t> coord_range(const Stencil<D>& st, int k) {
+  const int64_t e = st.extent[k / 2] - 1;
+  const int64_t t = st.horizon - 1;
+  return k % 2 == 0 ? std::pair<int64_t, int64_t>{0, t + e}
+                    : std::pair<int64_t, int64_t>{-e, t};
+}
+
+/// Checks the box of sides `side` at every offset at which it meets
+/// the coordinate ranges of the stencil's vertices (odometer over the K
+/// lower corners; a box that misses one range is empty). The first
+/// mismatch fails the test.
+template <int D>
+void sweep_offsets(const Stencil<D>& st,
+                   const std::array<int64_t, geom::kMono<D>>& side) {
+  constexpr int K = geom::kMono<D>;
+  std::array<int64_t, K> first, last, lo;
+  for (int k = 0; k < K; ++k) {
+    auto [a, b] = coord_range(st, k);
+    first[k] = a - side[k] + 1;
+    last[k] = b;
+    lo[k] = first[k];
+  }
+  for (;;) {
+    std::array<int64_t, K> hi;
+    for (int k = 0; k < K; ++k) hi[k] = lo[k] + side[k];
+    Region<D> r(&st, lo, hi);
+    const std::string bad = memo_mismatch(r);
+    if (!bad.empty()) {
+      ADD_FAILURE() << bad << " disagrees for " << box_str(r);
+      return;
+    }
+    int k = 0;
+    for (; k < K; ++k) {
+      if (++lo[k] <= last[k]) break;
+      lo[k] = first[k];
+    }
+    if (k == K) return;
+  }
+}
+
+}  // namespace
+
+class RegionMemoExhaustive : public ::testing::TestWithParam<int> {};
+
+/// Memo hits scored since `before`: a sweep whose boxes never shared a
+/// class would compare nothing against the memo's stored answers.
+template <int D>
+std::uint64_t hits_since(const geom::RegionMemoStats& before) {
+  return Region<D>::memo_stats().hits - before.hits;
+}
+
+// d=1: every box of sides up to 8 at every offset.
+TEST_P(RegionMemoExhaustive, D1EveryBoxUpToWidth8) {
+  const int64_t m = GetParam();
+  const geom::RegionMemoStats before = Region<1>::memo_stats();
+  for (Stencil<1> st : {Stencil<1>{{6}, 7, m}, Stencil<1>{{13}, 11, m}}) {
+    for (int64_t a = 1; a <= 8; ++a)
+      for (int64_t b = 1; b <= 8; ++b)
+        sweep_offsets<1>(st, {a, b});
+  }
+  EXPECT_GT(hits_since<1>(before), 0u);
+}
+
+// d=2: every box of equal sides up to 8 at every offset, and of the
+// mixed sides w/w+1 that halving odd boxes produces; a second, wider
+// stencil repeats the small sides. On meshes this small every box is
+// within reach of some wall, so classes rarely repeat: these sweeps pin
+// exactness at the walls, the translate test below pins sharing.
+TEST_P(RegionMemoExhaustive, D2EveryBoxUpToWidth8) {
+  const int64_t m = GetParam();
+  Stencil<2> st{{3, 3}, 4, m};
+  Stencil<2> wide{{4, 3}, 5, m};
+  for (int64_t w = 1; w <= 8; ++w) {
+    sweep_offsets<2>(st, {w, w, w, w});
+    if (w < 8) sweep_offsets<2>(st, {w, w + 1, w + 1, w});
+    if (w < 4) sweep_offsets<2>(wide, {w, w, w, w});
+  }
+}
+
+// d=3: every cube of side up to 3 at every offset on a 2x2x2 mesh, and
+// random boxes of sides up to 8 around a 3x3x3 one.
+TEST_P(RegionMemoExhaustive, D3BoxesUpToWidth8) {
+  const int64_t m = GetParam();
+  Stencil<3> tiny{{2, 2, 2}, 3, m};
+  for (int64_t w = 1; w <= 3; ++w)
+    sweep_offsets<3>(tiny, {w, w, w, w, w, w});
+  Stencil<3> st{{3, 3, 3}, 4, m};
+  core::SplitMix64 rng(static_cast<std::uint64_t>(m) * 1009 + 7);
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::array<int64_t, 6> lo, hi;
+    for (int k = 0; k < 6; ++k) {
+      auto [a, b] = coord_range(st, k);
+      const int64_t side = 1 + static_cast<int64_t>(rng.next_below(8));
+      lo[k] = a - side + static_cast<int64_t>(rng.next_below(
+                             static_cast<std::uint64_t>(b - a + side + 1)));
+      hi[k] = lo[k] + side;
+    }
+    Region<3> r(&st, lo, hi);
+    const std::string bad = memo_mismatch(r);
+    ASSERT_TRUE(bad.empty()) << bad << " disagrees for " << box_str(r);
+  }
+}
+
+/// Random boxes of sides up to 8 around random vertices of `st` (so
+/// none is empty), each checked with
+/// its translates by every lattice vector (dt, dx) with |dt| <= 2 and
+/// |dx_i| <= 1: translates that keep their distance to every wall
+/// within reach (or stay beyond reach of it) share a class, so a key
+/// that merged boxes with different answers disagrees here.
+template <int D>
+void sweep_translates(const Stencil<D>& st, int boxes, std::uint64_t seed) {
+  constexpr int K = geom::kMono<D>;
+  core::SplitMix64 rng(seed);
+  for (int b = 0; b < boxes; ++b) {
+    Point<D> p;
+    p.t = static_cast<int64_t>(
+        rng.next_below(static_cast<std::uint64_t>(st.horizon)));
+    for (int i = 0; i < D; ++i)
+      p.x[i] = static_cast<int64_t>(
+          rng.next_below(static_cast<std::uint64_t>(st.extent[i])));
+    const std::array<int64_t, K> c = geom::mono_coords<D>(p);
+    std::array<int64_t, K> lo, side;
+    for (int k = 0; k < K; ++k) {
+      side[k] = 1 + static_cast<int64_t>(rng.next_below(8));
+      lo[k] = c[k] - static_cast<int64_t>(rng.next_below(
+                         static_cast<std::uint64_t>(side[k])));
+    }
+    std::array<int64_t, D + 1> v;  // (dt, dx_0, ..., dx_{D-1})
+    v.fill(-1);
+    v[0] = -2;
+    for (;;) {
+      std::array<int64_t, K> tlo, thi;
+      for (int i = 0; i < D; ++i) {
+        tlo[2 * i] = lo[2 * i] + v[0] + v[i + 1];
+        tlo[2 * i + 1] = lo[2 * i + 1] + v[0] - v[i + 1];
+      }
+      for (int k = 0; k < K; ++k) thi[k] = tlo[k] + side[k];
+      Region<D> r(&st, tlo, thi);
+      const std::string bad = memo_mismatch(r);
+      ASSERT_TRUE(bad.empty()) << bad << " disagrees for " << box_str(r);
+      int j = 0;
+      for (; j <= D; ++j) {
+        if (++v[j] <= (j == 0 ? 2 : 1)) break;
+        v[j] = j == 0 ? -2 : -1;
+      }
+      if (j > D) break;
+    }
+  }
+}
+
+TEST_P(RegionMemoExhaustive, TranslatesShareAnswers) {
+  const int64_t m = GetParam();
+  const geom::RegionMemoStats before2 = Region<2>::memo_stats();
+  sweep_translates<2>(Stencil<2>{{18, 14}, 16, m}, 150,
+                      static_cast<std::uint64_t>(m) * 31 + 1);
+  EXPECT_GT(hits_since<2>(before2), 0u);
+  const geom::RegionMemoStats before3 = Region<3>::memo_stats();
+  sweep_translates<3>(Stencil<3>{{12, 10, 12}, 12, m}, 30,
+                      static_cast<std::uint64_t>(m) * 37 + 2);
+  EXPECT_GT(hits_since<3>(before3), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(M, RegionMemoExhaustive,
+                         ::testing::Values(1, 2, 3, 5));
+
+namespace {
+
+/// The recursion nodes of `r` down to width 1, in split order.
+template <int D>
+void collect_nodes(const Region<D>& r, std::vector<Region<D>>& out) {
+  out.push_back(r);
+  if (r.width() < 2) return;
+  typename Region<D>::Children kids;
+  r.split_into(kids);
+  for (const Region<D>& k : kids) collect_nodes(k, out);
+}
+
+/// (preboundary count, out-set count, nonempty children) of `r`.
+template <int D>
+std::array<int64_t, 3> memo_answers(const Region<D>& r) {
+  typename Region<D>::Children kids;
+  if (r.width() >= 2) r.split_into(kids);
+  return {r.preboundary_count(), r.outset_count(),
+          static_cast<int64_t>(kids.size())};
+}
+
+}  // namespace
+
+// An interior octahedron's recursion is nearly all translates, so the
+// memo must serve most queries; a fast path that never hits fails here.
+TEST(RegionMemo, ServesHitsOnInteriorRecursion) {
+  Stencil<2> st{{40, 40}, 40, 1};
+  // t in [5, 20], x_i in [7, 23]: reach-deep clear of every wall.
+  Region<2> root(&st, {20, -10, 20, -10}, {36, 6, 36, 6});
+  std::vector<Region<2>> nodes;
+  collect_nodes(root, nodes);
+  const geom::RegionMemoStats before = Region<2>::memo_stats();
+  for (const Region<2>& r : nodes) {
+    EXPECT_EQ(r.preboundary_count(), r.preboundary_count_direct());
+    EXPECT_EQ(r.outset_count(), r.outset_count_direct());
+  }
+  const geom::RegionMemoStats after = Region<2>::memo_stats();
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
+  EXPECT_EQ(hits + misses, 2 * nodes.size());
+  EXPECT_GT(hits, 10 * misses) << "hits " << hits << " misses " << misses;
+  EXPECT_LE(after.entries, geom::detail::RegionMemo<2>::kCapacity);
+}
+
+// Pool threads fill their own memos concurrently; the answers must not
+// depend on which thread (or how many) computed them.
+TEST(RegionMemo, AnswersIndependentOfThreadCount) {
+  Stencil<2> st{{24, 24}, 24, 2};
+  std::vector<Region<2>> nodes;
+  // An interior box, and one cut by t = 0 and both x walls.
+  collect_nodes(Region<2>(&st, {12, -4, 12, -4}, {20, 4, 20, 4}), nodes);
+  collect_nodes(Region<2>(&st, {-4, -12, -4, -12}, {12, 4, 12, 4}), nodes);
+  std::vector<std::array<int64_t, 3>> want;
+  for (const Region<2>& r : nodes) {
+    const int64_t kids =
+        r.width() >= 2 ? static_cast<int64_t>(r.split_direct().size()) : 0;
+    want.push_back(
+        {r.preboundary_count_direct(), r.outset_count_direct(), kids});
+  }
+  for (int threads : {1, 4}) {
+    engine::Pool pool(threads);
+    std::vector<std::array<int64_t, 3>> got(nodes.size());
+    pool.parallel_for(nodes.size(),
+                      [&](std::size_t i) { got[i] = memo_answers(nodes[i]); });
+    EXPECT_EQ(got, want) << "threads=" << threads;
+  }
 }
