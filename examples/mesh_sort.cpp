@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       want.push_back(guest.input({r, c}, 0));
   std::sort(want.begin(), want.end());
 
-  auto sorted_ok = [&](const sep::ValueMap<2>& fin) {
+  auto sorted_ok = [&](const sim::FinalValues<2>& fin) {
     for (std::int64_t r = 0; r < side; ++r)
       for (std::int64_t c = 0; c < side; ++c) {
         auto rank = workload::snake_rank(side, r, c);

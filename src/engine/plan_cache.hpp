@@ -38,7 +38,7 @@ namespace bsmp::engine {
 /// Resident-byte estimate of a cached artifact, used for the cache's
 /// byte budget. ADL customization point: overload plan_bytes(const A&)
 /// in A's own namespace to account heap payloads (a Schedule's op
-/// vector, a reference run's value map); this fallback charges the
+/// vector, a reference run's final values); this fallback charges the
 /// object header alone.
 template <typename A>
 inline std::size_t plan_bytes(const A& a) {

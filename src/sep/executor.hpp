@@ -67,6 +67,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <tuple>
@@ -286,6 +287,34 @@ class Executor {
     void clear() {}
   };
 
+  /// Access-function costs of one context, memoized by width: the
+  /// charge factor f(S(w)) of a recursion node and f_leaf of a leaf
+  /// are pure functions of the width w, and the widths at one
+  /// recursion depth are the floor and ceil halves of the root width —
+  /// so two slots per depth serve every node after the first of each
+  /// width. Depths past the table evaluate directly.
+  struct CostMemo {
+    static constexpr int kDepths = 32;
+    std::array<std::int64_t, 2 * kDepths> width;
+    std::array<core::Cost, 2 * kDepths> cost;
+
+    CostMemo() { width.fill(-1); }
+
+    template <class Eval>
+    core::Cost get(int depth, std::int64_t w, const Eval& eval) {
+      if (depth >= kDepths) return eval(w);
+      const std::size_t s = 2 * static_cast<std::size_t>(depth);
+      if (width[s] == w) return cost[s];
+      if (width[s + 1] == w) return cost[s + 1];
+      const core::Cost c = eval(w);
+      width[s + 1] = width[s];
+      cost[s + 1] = cost[s];
+      width[s] = w;
+      cost[s] = c;
+      return c;
+    }
+  };
+
   /// Per-execution mutable state. The recursion never touches executor
   /// members directly; everything it mutates lives here, so forked
   /// subtrees get private contexts and the executor itself stays
@@ -317,6 +346,10 @@ class Executor {
     // outset_count() would re-derive, so exec_child reuses its tally
     // for the step-3 charge instead of a second boundary pass.
     std::int64_t leaf_out = 0;
+    // f(S(w)) per recursion node and f_leaf per leaf, by width; a
+    // forked sub-context starts its own.
+    CostMemo node_f;
+    CostMemo leaf_f;
 
     void note() {
       if (cur > peak) peak = cur;
@@ -346,7 +379,9 @@ class Executor {
     engine::trace::Span region_span(engine::trace::Cat::kSepRegion,
                                     "sep-region", U.width(), cx.depth);
     const core::Cost fS =
-        cfg_.f(static_cast<std::uint64_t>(space_bound(U.width())));
+        cx.node_f.get(cx.depth, U.width(), [this](std::int64_t w) {
+          return cfg_.f(static_cast<std::uint64_t>(space_bound(w)));
+        });
     typename geom::Region<D>::Children children;
     U.split_into(children);
     ++cx.depth;
@@ -529,7 +564,9 @@ class Executor {
                     const RuleFn& rule) const {
     const geom::Stencil<D>& st = guest_->stencil;
     const core::Cost f_leaf =
-        cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(U.width())));
+        cx.leaf_f.get(cx.depth, U.width(), [this](std::int64_t w) {
+          return cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(w)));
+        });
     LeafWindow<D, V> win(U, cx.vals, cx.off);
     const std::int64_t tmin = win.tmin();
 

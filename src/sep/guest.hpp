@@ -225,25 +225,4 @@ BatchGuest<D> broadcast_guest(const Guest<D>& g) {
   return b;
 }
 
-/// Extract one lane of a batched final-value map as a scalar map —
-/// the unit the lane-differential tests compare against scalar runs.
-template <int D>
-ValueMap<D> extract_lane(const BatchValueMap<D>& batch, int l) {
-  BSMP_REQUIRE(l >= 0 && l < kLanes);
-  ValueMap<D> out;
-  out.reserve(batch.size());
-  for (const auto& [p, v] : batch) out.emplace(p, v[l]);
-  return out;
-}
-
-/// Extract lane l of a bit-sliced final-value map: bit l of every word.
-template <int D>
-ValueMap<D> extract_bit_lane(const ValueMap<D>& packed, int l) {
-  BSMP_REQUIRE(l >= 0 && l < kLanes);
-  ValueMap<D> out;
-  out.reserve(packed.size());
-  for (const auto& [p, v] : packed) out.emplace(p, (v >> l) & 1u);
-  return out;
-}
-
 }  // namespace bsmp::sep

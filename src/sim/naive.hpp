@@ -184,10 +184,7 @@ SimResult<D, V> simulate_naive(const sep::BasicGuest<D, V>& guest,
   res.time = clocks.makespan();
   res.guest_time = static_cast<core::Cost>(T);
   res.utilization = clocks.utilization();
-  for (const auto& q : final_points<D>(st)) {
-    res.final_values.emplace(q,
-                             ring[q.t % m][detail::node_index<D>(st, q.x)]);
-  }
+  res.final_values = detail::final_from_ring<D>(st, ring);
   return res;
 }
 

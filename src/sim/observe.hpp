@@ -3,11 +3,13 @@
 // outputs for functional equivalence.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "core/logmath.hpp"
 #include "geom/lattice.hpp"
 #include "sep/executor.hpp"
+#include "sim/final_values.hpp"
 
 namespace bsmp::sim {
 
@@ -63,31 +65,49 @@ std::vector<geom::Point<D>> final_points(const geom::Stencil<D>& st) {
   return out;
 }
 
-/// Extract the final points from a staging store (ValueMap or
-/// StagingStore, any value type) into a fresh map; asserts every final
-/// point is present.
+/// Extract the final values from a staging store (ValueMap,
+/// StagingStore or a shard, any value type): every final level is
+/// read row by row, as one dense span where the store serves it and
+/// point by point otherwise. Asserts every final point is present.
 template <int D, class Store>
-sep::BasicValueMap<D, sep::store_value_t<Store>> extract_final(
+FinalValues<D, sep::store_value_t<Store>> extract_final(
     const geom::Stencil<D>& st, const Store& staging) {
-  sep::BasicValueMap<D, sep::store_value_t<Store>> out;
-  for (const auto& q : final_points<D>(st)) {
-    const auto* v = sep::store_find(staging, q);
-    BSMP_ASSERT_MSG(v != nullptr, "final value missing at t=" << q.t);
-    out.emplace(q, *v);
+  FinalValues<D, sep::store_value_t<Store>> out(st);
+  const int64_t row = st.extent[D - 1];
+  const int64_t rows = st.num_nodes() / row;
+  for (int64_t t = st.horizon - out.cells(); t < st.horizon; ++t) {
+    auto* level = out.level(t);
+    geom::Point<D> q;
+    q.t = t;
+    for (int64_t r = 0; r < rows; ++r) {
+      int64_t rest = r;  // outer coordinates of row r, row-major
+      for (int i = D - 2; i >= 0; --i) {
+        q.x[i] = rest % st.extent[i];
+        rest /= st.extent[i];
+      }
+      q.x[D - 1] = 0;
+      auto* dst = level + r * row;
+      if (const auto* src = sep::store_row_span(
+              staging, q, static_cast<std::size_t>(row))) {
+        std::copy(src, src + row, dst);
+        continue;
+      }
+      for (int64_t x = 0; x < row; ++x) {
+        q.x[D - 1] = x;
+        const auto* v = sep::store_find(staging, q);
+        BSMP_ASSERT_MSG(v != nullptr, "final value missing at t=" << q.t);
+        dst[x] = *v;
+      }
+    }
   }
   return out;
 }
 
-/// True iff two final-value maps agree exactly.
+/// True iff two results have the same stencil shape and agree on
+/// every final value.
 template <int D, class V>
-bool same_values(const sep::BasicValueMap<D, V>& a,
-                 const sep::BasicValueMap<D, V>& b) {
-  if (a.size() != b.size()) return false;
-  for (const auto& [k, v] : a) {
-    auto it = b.find(k);
-    if (it == b.end() || it->second != v) return false;
-  }
-  return true;
+bool same_values(const FinalValues<D, V>& a, const FinalValues<D, V>& b) {
+  return a == b;
 }
 
 }  // namespace bsmp::sim

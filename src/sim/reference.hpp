@@ -5,6 +5,7 @@
 // output is compared against this run.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "core/expect.hpp"
@@ -33,6 +34,19 @@ std::array<int64_t, D> node_coords(const geom::Stencil<D>& st, int64_t idx) {
     idx /= st.extent[i];
   }
   return x;
+}
+
+/// The final values of a ring buffer of the last m value levels
+/// (ring[t % m] holds level t), as the reference and naive runs keep.
+template <int D, class V>
+FinalValues<D, V> final_from_ring(const geom::Stencil<D>& st,
+                                  const std::vector<std::vector<V>>& ring) {
+  FinalValues<D, V> out(st);
+  for (int64_t t = st.horizon - out.cells(); t < st.horizon; ++t) {
+    const auto& lv = ring[static_cast<std::size_t>(t % st.m)];
+    std::copy(lv.begin(), lv.end(), out.level(t));
+  }
+  return out;
 }
 
 }  // namespace detail
@@ -89,10 +103,7 @@ SimResult<D, V> reference_run(const sep::BasicGuest<D, V>& guest) {
 
   res.time = static_cast<core::Cost>(T);
   res.guest_time = static_cast<core::Cost>(T);
-  for (const auto& q : final_points<D>(st)) {
-    res.final_values.emplace(
-        q, ring[q.t % m][detail::node_index<D>(st, q.x)]);
-  }
+  res.final_values = detail::final_from_ring<D>(st, ring);
   return res;
 }
 

@@ -8,6 +8,7 @@
 #include "core/cost.hpp"
 #include "machine/spec.hpp"
 #include "sep/executor.hpp"
+#include "sim/final_values.hpp"
 
 namespace bsmp::sim {
 
@@ -23,8 +24,8 @@ struct SimResult {
   double utilization = 1.0;     ///< busy / (p * makespan)
 
   /// The guest-visible outputs: the last-written value of every memory
-  /// cell (one point per node per cell).
-  sep::BasicValueMap<D, V> final_values;
+  /// cell (one point per node per cell), in final_points order.
+  FinalValues<D, V> final_values;
 
   double slowdown() const { return time / guest_time; }
 };

@@ -15,15 +15,10 @@
 namespace bsmp::sim {
 
 /// Resident bytes of a cached reference run (the PlanCache byte-budget
-/// hook): the result plus its final-values hash map — per-node entries
-/// dominate, estimated as payload + two pointers of node overhead plus
-/// the bucket array.
+/// hook): the result plus its flat final-value array.
 template <int D, class V>
 std::size_t plan_bytes(const SimResult<D, V>& r) {
-  const std::size_t per_entry =
-      sizeof(geom::Point<D>) + sizeof(V) + 2 * sizeof(void*);
-  return sizeof(r) + r.final_values.size() * per_entry +
-         r.final_values.bucket_count() * sizeof(void*);
+  return sizeof(r) + r.final_values.capacity() * sizeof(V);
 }
 
 }  // namespace bsmp::sim

@@ -44,11 +44,7 @@ std::uint64_t final_digest(const geom::Stencil<D>& st, const Store& staging) {
       h *= 0x100000001b3ULL;
     }
   };
-  for (const auto& q : sim::final_points<D>(st)) {
-    const sep::Word* v = sep::store_find(staging, q);
-    BSMP_REQUIRE_MSG(v != nullptr, "ensemble final value missing");
-    mix(*v);
-  }
+  for (const auto& [q, v] : sim::extract_final<D>(st, staging)) mix(v);
   return h;
 }
 

@@ -41,7 +41,7 @@ struct Outcome {
   std::int64_t vertices = 0;
   std::size_t peak = 0;
   std::size_t allocs = 0;
-  sep::BasicValueMap<D, V> fin;
+  sim::FinalValues<D, V> fin;
 };
 
 /// Drive the guest over the full volume through the same wavefront
@@ -168,7 +168,7 @@ TEST(BatchLanes, D1BitSlicedLanesMatchScalarRunsAcrossStoresPoolsGrains) {
 
   // The 64 independent scalar runs, once; all charge identically
   // (charging depends only on the stencil), so keep one charge record.
-  std::array<sep::ValueMap<1>, sep::kLanes> lane_fin;
+  std::array<sim::FinalValues<1>, sep::kLanes> lane_fin;
   Outcome<1, sep::Word> scalar0;
   for (int l = 0; l < sep::kLanes; ++l) {
     auto g = lane110_guest(packed, l);
@@ -218,7 +218,7 @@ TEST(BatchLanes, D2SoALanesMatchScalarRunsAcrossStoresPoolsGrains) {
   const std::uint64_t seed = 777;
   auto batch_g = soa_mix_guest(extent, T, m, seed);
 
-  std::array<sep::ValueMap<2>, sep::kLanes> lane_fin;
+  std::array<sim::FinalValues<2>, sep::kLanes> lane_fin;
   Outcome<2, sep::Word> scalar0;
   for (int l = 0; l < sep::kLanes; ++l) {
     auto g = lane_mix_guest(batch_g, l, seed);

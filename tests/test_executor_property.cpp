@@ -58,7 +58,7 @@ sep::Guest<1> sort_guest(int64_t n, std::uint64_t seed) {
 
 /// Read out the final array of a d=1, m=1 guest result.
 std::vector<sep::Word> final_array(const geom::Stencil<1>& st,
-                                   const sep::ValueMap<1>& fin) {
+                                   const sim::FinalValues<1>& fin) {
   std::vector<sep::Word> out(static_cast<std::size_t>(st.extent[0]));
   for (int64_t x = 0; x < st.extent[0]; ++x)
     out[x] = fin.at(geom::Point<1>{{x}, st.horizon - 1});
@@ -244,7 +244,7 @@ TEST(ExecutorHygiene, MultiprocDeterministic) {
 TEST(ExecutorHygiene, StagingDoesNotLeakAcrossTiles) {
   // After a full dc run the retained staging equals exactly the final
   // rows (everything else was pruned) — checked indirectly: the result
-  // map has one entry per (node, cell).
+  // holds one value per (node, cell).
   auto g = workload::make_mix_guest<1>({12}, 36, 3, 4);
   auto res = sim::simulate_dc_uniproc<1>(g, spec(1, 12, 1, 3));
   EXPECT_EQ(res.final_values.size(), static_cast<std::size_t>(12 * 3));
@@ -284,7 +284,7 @@ sep::Guest<2> shearsort_guest(int64_t side, std::uint64_t seed) {
 }
 
 std::vector<sep::Word> snake_readout(const geom::Stencil<2>& st,
-                                     const sep::ValueMap<2>& fin) {
+                                     const sim::FinalValues<2>& fin) {
   int64_t side = st.extent[0];
   std::vector<sep::Word> out(static_cast<std::size_t>(side * side));
   for (int64_t r = 0; r < side; ++r)
@@ -448,7 +448,7 @@ struct DriveOutcome {
   std::int64_t vertices = 0;
   std::size_t peak = 0;
   std::size_t allocs = 0;
-  sep::ValueMap<D> fin;
+  sim::FinalValues<D> fin;
 
   void expect_eq(const DriveOutcome& other, const std::string& what) const {
     for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
@@ -605,7 +605,7 @@ struct MpGrains {
 template <int D, class Store, class V>
 MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
                         const machine::MachineSpec& host, int64_t s,
-                        MpGrains grains, sep::BasicValueMap<D, V>& fin_out) {
+                        MpGrains grains, sim::FinalValues<D, V>& fin_out) {
   const int64_t saved = sep::default_parallel_grain();
   sep::set_default_parallel_grain(grains.exec);
   engine::Metrics metrics;
@@ -667,7 +667,7 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
       {huge, huge, huge},  // above every width: must equal off
   };
 
-  sep::BasicValueMap<D, V> ref_fin;
+  sim::FinalValues<D, V> ref_fin;
   auto ref = run_multiproc<D, sep::StagingStore<D, V>>(g, host, s, kOff,
                                                        ref_fin);
 
@@ -675,7 +675,7 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
     for (int threads : {1, 2, 4}) {
       engine::Pool pool(threads);
       auto bind = pool.bind_caller();
-      sep::BasicValueMap<D, V> fin;
+      sim::FinalValues<D, V> fin;
       auto got =
           run_multiproc<D, sep::StagingStore<D, V>>(g, host, s, gr, fin);
       const std::string what =
@@ -690,13 +690,13 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
 
   // Hashmap staging through the same forks: the shard fall-through and
   // merge must be store-agnostic (allocs are 0 on both sides).
-  sep::BasicValueMap<D, V> refm_fin;
+  sim::FinalValues<D, V> refm_fin;
   auto refm = run_multiproc<D, sep::BasicValueMap<D, V>>(g, host, s, kOff,
                                                          refm_fin);
   for (int threads : {2, 4}) {
     engine::Pool pool(threads);
     auto bind = pool.bind_caller();
-    sep::BasicValueMap<D, V> fin;
+    sim::FinalValues<D, V> fin;
     auto got = run_multiproc<D, sep::BasicValueMap<D, V>>(
         g, host, s, MpGrains{2, 2, 2}, fin);
     const std::string what =

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "sep/staging.hpp"
 #include "sim/observe.hpp"
 #include "sim/reference.hpp"
 #include "workload/rules.hpp"
@@ -50,35 +53,148 @@ TEST(FinalPoints, D2AndD3Counts) {
   EXPECT_EQ(sim::final_points<3>(st3).size(), 8u);
 }
 
+namespace {
+
+/// A distinct value per vertex, so a misplaced read cannot go unseen.
+template <int D>
+sep::Word tag(const Point<D>& q) {
+  sep::Word w = static_cast<sep::Word>(q.t) * 1000003u;
+  for (int i = 0; i < D; ++i) w = w * 131u + static_cast<sep::Word>(q.x[i]);
+  return w + 1;
+}
+
+/// Every vertex of the stencil's volume, tagged, in `store`.
+template <int D, class Store>
+void stage_volume(const Stencil<D>& st, Store& store) {
+  const int64_t n = st.num_nodes();
+  for (int64_t t = 0; t < st.horizon; ++t) {
+    for (int64_t idx = 0; idx < n; ++idx) {
+      Point<D> q;
+      q.t = t;
+      int64_t rest = idx;
+      for (int i = D - 1; i >= 0; --i) {
+        q.x[i] = rest % st.extent[i];
+        rest /= st.extent[i];
+      }
+      sep::store_insert(store, q, tag<D>(q));
+    }
+  }
+}
+
+/// Iteration visits exactly final_points, in order, and at(q) reads
+/// the value the store holds at q — from the dense row path
+/// (StagingStore) and the point path (ValueMap) alike.
+template <int D>
+void expect_matches_store(const Stencil<D>& st) {
+  sep::StagingStore<D> dense(&st);
+  sep::ValueMap<D> map;
+  stage_volume<D>(st, dense);
+  stage_volume<D>(st, map);
+  const auto pts = sim::final_points<D>(st);
+  const auto fin = sim::extract_final<D>(st, dense);
+  ASSERT_EQ(fin.size(), pts.size());
+  std::size_t i = 0;
+  for (const auto& [q, v] : fin) {
+    ASSERT_LT(i, pts.size());
+    EXPECT_EQ(q, pts[i]) << "iteration order differs at " << i;
+    EXPECT_EQ(v, *sep::store_find(dense, q));
+    ++i;
+  }
+  EXPECT_EQ(i, pts.size());
+  for (const auto& q : pts) {
+    ASSERT_TRUE(fin.contains(q));
+    EXPECT_EQ(fin.at(q), *sep::store_find(dense, q));
+  }
+  EXPECT_EQ(sim::extract_final<D>(st, map), fin);
+}
+
+}  // namespace
+
+TEST(FinalValues, OrderAndLookupMatchFinalPointsD1) {
+  expect_matches_store<1>(Stencil<1>{{5}, 12, 3});
+  expect_matches_store<1>(Stencil<1>{{7}, 9, 1});
+}
+
+TEST(FinalValues, OrderAndLookupMatchFinalPointsD2) {
+  expect_matches_store<2>(Stencil<2>{{3, 4}, 5, 2});
+  expect_matches_store<2>(Stencil<2>{{4, 3}, 7, 4});
+}
+
+TEST(FinalValues, OrderAndLookupMatchFinalPointsD3) {
+  expect_matches_store<3>(Stencil<3>{{2, 3, 2}, 4, 3});
+}
+
+TEST(FinalValues, MemoryDeeperThanHorizonSkipsUnwrittenCells) {
+  // m > T: only the T written cells per node are final points.
+  Stencil<1> st{{3}, 4, 10};
+  expect_matches_store<1>(st);
+  sim::FinalValues<1> fin(st);
+  EXPECT_EQ(fin.size(), 3u * 4u);
+  EXPECT_EQ(fin.cells(), 4);
+  EXPECT_TRUE(fin.contains(Point<1>{{2}, 0}));
+  EXPECT_FALSE(fin.contains(Point<1>{{2}, 4}));
+  expect_matches_store<2>(Stencil<2>{{2, 3}, 3, 5});
+}
+
+TEST(FinalValues, NonFinalPointsAreRejected) {
+  sim::FinalValues<1> fin(Stencil<1>{{4}, 8, 2});
+  EXPECT_TRUE(fin.contains(Point<1>{{3}, 6}));
+  EXPECT_FALSE(fin.contains(Point<1>{{3}, 5}));   // overwritten cell
+  EXPECT_FALSE(fin.contains(Point<1>{{4}, 7}));   // outside the mesh
+  EXPECT_FALSE(fin.contains(Point<1>{{0}, 8}));   // past the horizon
+  EXPECT_THROW(fin.at(Point<1>{{3}, 5}), bsmp::precondition_error);
+}
+
 TEST(ExtractFinal, PullsExactlyTheFinalPoints) {
   auto g = workload::make_mix_guest<1>({4}, 8, 2, 3);
   auto ref = sim::reference_run<1>(g);
   // extract_final over a superset staging map returns only the finals.
-  sep::ValueMap<1> staging = ref.final_values;
+  sep::ValueMap<1> staging;
+  for (const auto& [q, v] : ref.final_values) staging.emplace(q, v);
   staging.emplace(Point<1>{{0}, 0}, 999);
   auto fin = sim::extract_final<1>(g.stencil, staging);
   EXPECT_EQ(fin.size(), 8u);
   EXPECT_FALSE(fin.contains(Point<1>{{0}, 0}));
+  EXPECT_EQ(fin, ref.final_values);
+  // The same from a dense store holding the whole volume.
+  sep::StagingStore<1> dense(&g.stencil);
+  stage_volume<1>(g.stencil, dense);
+  auto fin_dense = sim::extract_final<1>(g.stencil, dense);
+  EXPECT_EQ(fin_dense.size(), 8u);
+  EXPECT_EQ(fin_dense.at(Point<1>{{2}, 7}), tag<1>(Point<1>{{2}, 7}));
 }
 
 TEST(ExtractFinal, MissingValueIsAnInvariantError) {
   Stencil<1> st{{4}, 4, 1};
   sep::ValueMap<1> empty;
   EXPECT_THROW(sim::extract_final<1>(st, empty), bsmp::invariant_error);
+  // A dense row with one hole falls back to the point path and throws.
+  sep::StagingStore<1> dense(&st);
+  stage_volume<1>(st, dense);
+  sep::store_erase(dense, Point<1>{{2}, 3});
+  EXPECT_THROW(sim::extract_final<1>(st, dense), bsmp::invariant_error);
 }
 
 TEST(SameValues, DetectsEveryKindOfMismatch) {
-  sep::ValueMap<1> a, b;
-  a.emplace(Point<1>{{0}, 1}, 5);
-  b.emplace(Point<1>{{0}, 1}, 5);
+  auto g = workload::make_mix_guest<1>({4}, 8, 2, 3);
+  auto a = sim::reference_run<1>(g).final_values;
+  auto b = a;
   EXPECT_TRUE(sim::same_values<1>(a, b));
-  b[Point<1>{{0}, 1}] = 6;
-  EXPECT_FALSE(sim::same_values<1>(a, b));  // different value
-  b[Point<1>{{0}, 1}] = 5;
-  b.emplace(Point<1>{{1}, 1}, 5);
-  EXPECT_FALSE(sim::same_values<1>(a, b));  // different size
-  a.emplace(Point<1>{{2}, 1}, 5);
-  EXPECT_FALSE(sim::same_values<1>(a, b));  // same size, different keys
+  b.at(Point<1>{{1}, 7}) ^= 1;
+  EXPECT_FALSE(sim::same_values<1>(a, b));  // a flipped value
+  b.at(Point<1>{{1}, 7}) ^= 1;
+  EXPECT_TRUE(sim::same_values<1>(a, b));
+  // A different stencil of equal size, holding the same value array.
+  sim::FinalValues<1> c(Stencil<1>{{8}, 8, 1});
+  ASSERT_EQ(c.size(), a.size());
+  std::copy(a.data(), a.data() + a.size(), c.data());
+  EXPECT_FALSE(sim::same_values<1>(a, c));
+  // Same extent and size, different m and horizon.
+  sim::FinalValues<1> d(Stencil<1>{{4}, 2, 3});
+  ASSERT_EQ(d.size(), a.size());
+  std::copy(a.data(), a.data() + a.size(), d.data());
+  EXPECT_FALSE(sim::same_values<1>(a, d));
+  EXPECT_FALSE(sim::same_values<1>(a, sim::FinalValues<1>{}));
 }
 
 TEST(Reference, FinalValuesCoverEveryCell) {

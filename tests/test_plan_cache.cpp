@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/plan_cache.hpp"
+#include "tables/cached.hpp"
 
 using namespace bsmp;
 using engine::PlanCache;
@@ -240,4 +241,29 @@ TEST(PlanCacheLru, AccountingSurvivesClearDuringBuild) {
   builder.join();
   EXPECT_EQ(c.stats().bytes, 0u);
   EXPECT_EQ(c.size(), 0u);
+}
+
+// The byte hook of a cached reference run: the result object plus its
+// flat final-value array, exactly — so the BSMP_PLAN_CACHE_BYTES budget
+// charges what the entry holds.
+TEST(PlanCacheBytes, ReferenceRunIsItsResultPlusFinalArray) {
+  PlanCache cache;
+  cache.set_max_bytes(0);
+  auto ref = tables::cached_reference<2>(cache, {6, 5}, 9, 4, 3);
+  ASSERT_EQ(ref->final_values.size(), 6u * 5u * 4u);
+  EXPECT_EQ(ref->final_values.capacity(), ref->final_values.size());
+  const std::size_t want =
+      sizeof(sim::SimResult<2>) +
+      ref->final_values.capacity() * sizeof(sep::Word);
+  EXPECT_EQ(sim::plan_bytes(*ref), want);
+  // The cache holds the reference run and its guest (header only).
+  EXPECT_EQ(cache.stats().bytes, want + sizeof(sep::Guest<2>));
+
+  // Batched values: same rule, LaneBatch-sized slots.
+  auto batch = sim::reference_run<1>(sep::broadcast_guest<1>(
+      workload::make_mix_guest<1>({16}, 8, 3, 1)));
+  EXPECT_EQ(sim::plan_bytes(batch),
+            sizeof(batch) +
+                batch.final_values.capacity() * sizeof(sep::LaneBatch));
+  EXPECT_EQ(batch.final_values.capacity(), 16u * 3u);
 }

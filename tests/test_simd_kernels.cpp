@@ -96,7 +96,7 @@ struct Outcome {
   std::int64_t vertices = 0;
   std::size_t peak = 0;
   std::size_t allocs = 0;
-  sep::ValueMap<D> fin;
+  sim::FinalValues<D> fin;
 };
 
 /// Drive the guest over the full volume through execute_with_rule, so
