@@ -65,7 +65,7 @@ RunOut<D> run_once(const sep::Guest<D>& g) {
   sep::StagingStore<D> staging(&g.stencil);
   RunOut<D> out;
   out.stats = tables::hotpath::run_dense<D>(g, staging);
-  sep::store_for_each(staging, [&](const geom::Point<D>& q, sep::Word v) {
+  staging.for_each([&](const geom::Point<D>& q, sep::Word v) {
     out.fin.emplace_back(q, v);
   });
   std::sort(out.fin.begin(), out.fin.end(),

@@ -75,7 +75,7 @@ PointOut run_point(const sep::Guest<1>& g) {
   PointOut out;
   out.stats = tables::hotpath::run_dense_kernel<1>(g, staging,
                                                    workload::MixKernel<1>{});
-  sep::store_for_each(staging, [&](const geom::Point<1>& q, sep::Word v) {
+  staging.for_each([&](const geom::Point<1>& q, sep::Word v) {
     out.fin.emplace_back(q, v);
   });
   std::sort(out.fin.begin(), out.fin.end(),

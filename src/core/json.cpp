@@ -1,5 +1,6 @@
 #include "core/json.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -182,21 +183,43 @@ class Parser {
     }
   }
 
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// — no leading '+', no leading zeros, no bare '.' on either side.
   bool number(Value& out) {
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
+    auto digit = [this] {
+      return pos_ < s_.size() &&
+             std::isdigit(static_cast<unsigned char>(s_[pos_]));
+    };
+    auto digits = [&] {
+      if (!digit()) return false;
+      while (digit()) ++pos_;
+      return true;
+    };
+    auto invalid = [&] {
+      pos_ = start;
+      return fail("invalid number");
+    };
     if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
+    if (pos_ < s_.size() && s_[pos_] == '0')
       ++pos_;
+    else if (!digits())
+      return invalid();
+    if (pos_ < s_.size() && s_[pos_] == '.') {
+      ++pos_;
+      if (!digits()) return invalid();
+    }
+    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
+      if (!digits()) return invalid();
+    }
+    if (digit()) return invalid();  // a leading zero followed by digits
     std::string tok(s_.substr(start, pos_ - start));
-    if (tok.empty() || tok == "-") return fail("invalid number");
     errno = 0;
     char* end = nullptr;
     double v = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size() || errno == ERANGE)
-      return fail("invalid number");
+    if (end != tok.c_str() + tok.size() || errno == ERANGE) return invalid();
     out = Value(v);
     return true;
   }
@@ -204,58 +227,71 @@ class Parser {
   bool value(Value& out) {
     skip_ws();
     if (pos_ >= s_.size()) return fail("unexpected end of document");
-    char c = s_[pos_];
-    switch (c) {
-      case '{': {
+    const char c = s_[pos_];
+    if (c != '{' && c != '[') return scalar(out);
+    // Containers recurse; cap the depth so a hostile document fails
+    // cleanly instead of overflowing the stack.
+    if (depth_ == kMaxDepth) return fail("nesting too deep");
+    ++depth_;
+    const bool ok = c == '{' ? object(out) : array(out);
+    --depth_;
+    return ok;
+  }
+
+  bool object(Value& out) {
+    ++pos_;  // past '{'
+    Members m;
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == '}') {
+      ++pos_;
+      out = Value(std::move(m));
+      return true;
+    }
+    while (true) {
+      if (!eat('"')) return false;
+      std::string key;
+      if (!string_body(key)) return false;
+      if (!eat(':')) return false;
+      Value v;
+      if (!value(v)) return false;
+      m.emplace_back(std::move(key), std::move(v));
+      skip_ws();
+      if (pos_ < s_.size() && s_[pos_] == ',') {
         ++pos_;
-        Members m;
-        skip_ws();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-          ++pos_;
-          out = Value(std::move(m));
-          return true;
-        }
-        while (true) {
-          if (!eat('"')) return false;
-          std::string key;
-          if (!string_body(key)) return false;
-          if (!eat(':')) return false;
-          Value v;
-          if (!value(v)) return false;
-          m.emplace_back(std::move(key), std::move(v));
-          skip_ws();
-          if (pos_ < s_.size() && s_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          if (!eat('}')) return false;
-          out = Value(std::move(m));
-          return true;
-        }
+        continue;
       }
-      case '[': {
+      if (!eat('}')) return false;
+      out = Value(std::move(m));
+      return true;
+    }
+  }
+
+  bool array(Value& out) {
+    ++pos_;  // past '['
+    Array a;
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == ']') {
+      ++pos_;
+      out = Value(std::move(a));
+      return true;
+    }
+    while (true) {
+      Value v;
+      if (!value(v)) return false;
+      a.push_back(std::move(v));
+      skip_ws();
+      if (pos_ < s_.size() && s_[pos_] == ',') {
         ++pos_;
-        Array a;
-        skip_ws();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-          ++pos_;
-          out = Value(std::move(a));
-          return true;
-        }
-        while (true) {
-          Value v;
-          if (!value(v)) return false;
-          a.push_back(std::move(v));
-          skip_ws();
-          if (pos_ < s_.size() && s_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          if (!eat(']')) return false;
-          out = Value(std::move(a));
-          return true;
-        }
+        continue;
       }
+      if (!eat(']')) return false;
+      out = Value(std::move(a));
+      return true;
+    }
+  }
+
+  bool scalar(Value& out) {
+    switch (s_[pos_]) {
       case '"': {
         ++pos_;
         std::string str;
@@ -279,8 +315,13 @@ class Parser {
     }
   }
 
+  /// Deepest container nesting accepted; far beyond any artifact the
+  /// repo writes, far below what the recursion's stack can take.
+  static constexpr int kMaxDepth = 512;
+
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

@@ -41,30 +41,8 @@ RunResult<D> run_schedule(const sep::Guest<D>& guest, const Sched& sched) {
     leaf.for_each([&](const geom::Point<D>& p) {
       BSMP_ASSERT_MSG(!res.values.contains(p),
                       "schedule executes a vertex twice (t=" << p.t << ")");
-      sep::Word value;
-      if (p.t == 0) {
-        value = guest.input(p.x, 0);
-      } else {
-        sep::Word self_prev;
-        if (p.t >= st.m) {
-          geom::Point<D> q = p;
-          q.t = p.t - st.m;
-          self_prev = lookup(q);
-        } else {
-          self_prev = guest.input(p.x, p.t % st.m);
-        }
-        sep::NeighborWords<D> nbrs{};
-        for (int i = 0; i < D; ++i) {
-          for (int sgn = 0; sgn < 2; ++sgn) {
-            geom::Point<D> q = p;
-            q.x[i] += (sgn == 0 ? -1 : 1);
-            q.t = p.t - 1;
-            if (st.in_space(q.x)) nbrs[2 * i + sgn] = lookup(q);
-          }
-        }
-        value = guest.rule(p, self_prev, nbrs);
-      }
-      res.values.emplace(p, value);
+      res.values.emplace(
+          p, sep::eval_vertex(guest, guest.rule, p, lookup).value);
       ++res.vertices;
     });
   }

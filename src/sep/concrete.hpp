@@ -1,7 +1,7 @@
 // The concrete executor: Proposition 2 with *literal* memory.
 //
-// Where Executor<D> charges model costs while holding values in host
-// hash maps, ConcreteExecutor runs the same recursion with every value
+// Where Executor<D> charges model costs while holding values in a host
+// staging store, ConcreteExecutor runs the same recursion with every value
 // physically resident in an HRam at the addresses Proposition 2
 // prescribes:
 //   * execute(U) owns the address window [0, S(U));
@@ -169,7 +169,6 @@ class ConcreteExecutor {
                std::size_t S) {
     using AddrMap =
         std::unordered_map<geom::Point<D>, std::size_t, geom::PointHash<D>>;
-    const geom::Stencil<D>& st = guest_->stencil;
     // Values of this leaf are laid out from address 0 upward in
     // topological order; the preboundary stays where the caller parked
     // it (inside [0, S)). Because for_each enumerates the leaf window
@@ -212,29 +211,8 @@ class ConcreteExecutor {
 
     std::size_t next = 0;
     U.for_each([&](const geom::Point<D>& p) {
-      hram::Word value;
-      if (p.t == 0) {
-        value = guest_->input(p.x, 0);
-      } else {
-        hram::Word self_prev;
-        if (p.t >= st.m) {
-          geom::Point<D> q = p;
-          q.t = p.t - st.m;
-          self_prev = load(q);
-        } else {
-          self_prev = guest_->input(p.x, p.t % st.m);
-        }
-        NeighborWords<D> nbrs{};
-        for (int i = 0; i < D; ++i) {
-          for (int sgn = 0; sgn < 2; ++sgn) {
-            geom::Point<D> q = p;
-            q.x[i] += (sgn == 0 ? -1 : 1);
-            q.t = p.t - 1;
-            if (st.in_space(q.x)) nbrs[2 * i + sgn] = load(q);
-          }
-        }
-        value = guest_->rule(p, self_prev, nbrs);
-      }
+      const hram::Word value =
+          eval_vertex(*guest_, guest_->rule, p, load).value;
       BSMP_ASSERT_MSG(next < top, "leaf window overflow");
       BSMP_ASSERT_MSG(next == slot(p), "dense leaf layout out of order");
       ram_->write(next, value);

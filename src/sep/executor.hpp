@@ -30,12 +30,13 @@
 // once per node; leaves run in a dense window
 // (sep/staging.hpp LeafWindow: per-time-level prefix offset + row-
 // major x offset) instead of a hash map, with per-leaf batched
-// kCompute and a bit-exact kLocalAccess charge stream; staging is any
-// store providing the accessors of sep/staging.hpp — StagingStore<D>
-// for O(1) dense addressing, or the original ValueMap<D>. All charged
-// totals are bit-identical to the materializing implementation;
-// ExecutorConfig::validate re-enables the per-level materialization
-// and asserts it changes nothing.
+// kCompute and a bit-exact kLocalAccess charge stream; every vertex is
+// evaluated by sep::eval_vertex (sep/guest.hpp), the one Definition-3
+// evaluator; staging is a StagingStore<D, V> (O(1) dense addressing),
+// or inside a fork a StagingShard over one (sep/staging.hpp). All
+// charged totals are bit-identical to the materializing
+// implementation; ExecutorConfig::validate re-enables the per-level
+// materialization and asserts it changes nothing.
 //
 // SIMD leaves (see doc/ENGINE.md "SIMD kernels"): when the rule
 // passed to execute_with_rule advertises a row kernel (sep/simd.hpp
@@ -194,7 +195,8 @@ class Executor {
 
   /// Execute domain U (see the contract above): afterwards the out-set
   /// values of U are in `staging` (enumerable via U.outset() /
-  /// U.outset_visit()). `Store` is ValueMap<D> or StagingStore<D>.
+  /// U.outset_visit()). `Store` is StagingStore<D, V>, or a
+  /// StagingShard<D, V> over one for forked callers.
   template <class Store>
   void execute(const geom::Region<D>& U, Store& staging) {
     execute_with_rule(U, staging, guest_->rule);
@@ -354,14 +356,11 @@ class Executor {
     void note() {
       if (cur > peak) peak = cur;
     }
-    void insert(const geom::Point<D>& q, const V& v) {
-      if (store_insert(*staging, q, v)) ++cur;
-    }
     void insert_span(const geom::Point<D>& q, const V* src, std::size_t n) {
-      cur += store_insert_span(*staging, q, src, n);
+      cur += staging->insert_span(q, src, n);
     }
     void erase(const geom::Point<D>& q) {
-      if (store_erase(*staging, q)) --cur;
+      if (staging->erase(q)) --cur;
     }
   };
 
@@ -464,7 +463,7 @@ class Executor {
       const geom::Region<D>& U,
       const typename geom::Region<D>::Children& children, core::Cost fS,
       Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
-    using Shard = typename ShardOf<D, Store>::type;
+    using Shard = StagingShard<D, V>;
     // The fork's bookkeeping comes from the forking thread's scratch
     // pools: the ChargeLog checkout here, the shard's local store via
     // detail::shard_local, the leaf scratch inside the fork body.
@@ -537,7 +536,7 @@ class Executor {
     std::vector<geom::Point<D>> gin = child.preboundary();
     check_count(gin, count, "preboundary_count != |preboundary()|");
     for (const auto& q : gin) {
-      BSMP_ASSERT_MSG(store_find(staging, q) != nullptr,
+      BSMP_ASSERT_MSG(staging.find(q) != nullptr,
                       "preboundary value missing: topological partition "
                       "violated at width "
                           << width);
@@ -549,7 +548,7 @@ class Executor {
     std::vector<geom::Point<D>> out = U.outset();
     for (const auto& q : out) {
       BSMP_ASSERT_MSG(U.in_outset(q), "in_outset rejects an outset() point");
-      BSMP_ASSERT_MSG(store_find(staging, q) != nullptr,
+      BSMP_ASSERT_MSG(staging.find(q) != nullptr,
                       "out-set value missing");
     }
   }
@@ -562,7 +561,6 @@ class Executor {
   template <class Store, class Ledger, class RuleFn>
   void execute_leaf(const geom::Region<D>& U, Ctx<Store, Ledger>& cx,
                     const RuleFn& rule) const {
-    const geom::Stencil<D>& st = guest_->stencil;
     const core::Cost f_leaf =
         cx.leaf_f.get(cx.depth, U.width(), [this](std::int64_t w) {
           return cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(w)));
@@ -574,44 +572,11 @@ class Executor {
       // q is a vertex; inside the leaf box it was already executed
       // (topological order), so its value sits in the dense window.
       if (q.t >= tmin && U.in_box(q)) return win[win.slot(q)];
-      const V* v = store_find(*cx.staging, q);
+      const V* v = cx.staging->find(q);
       BSMP_ASSERT_MSG(v != nullptr,
                       "operand missing at leaf: topological partition or "
                       "out-set computation is wrong");
       return *v;
-    };
-
-    // One cell's value and operand count — the naive per-vertex
-    // execution (Definition 3), shared verbatim by the scalar loop and
-    // the SIMD path's edge cells.
-    auto cell = [&](const geom::Point<D>& p, int& operands) -> V {
-      if (p.t == 0) {
-        operands = 1;
-        return guest_->input(p.x, 0);  // input vertex (Definition 3)
-      }
-      V self_prev;
-      if (p.t >= st.m) {
-        geom::Point<D> q = p;
-        q.t = p.t - st.m;
-        self_prev = lookup(q);
-      } else {
-        self_prev = guest_->input(p.x, p.t % st.m);
-      }
-      BasicNeighbors<D, V> nbrs{};
-      operands = 0;
-      for (int i = 0; i < D; ++i) {
-        for (int s = 0; s < 2; ++s) {
-          geom::Point<D> q = p;
-          q.x[i] += (s == 0 ? -1 : 1);
-          q.t = p.t - 1;
-          if (st.in_space(q.x)) {
-            nbrs[2 * i + s] = lookup(q);
-            ++operands;
-          }
-        }
-      }
-      ++operands;  // self operand
-      return rule(p, self_prev, nbrs);
     };
 
     auto la = cx.ledger->stream(core::CostKind::kLocalAccess);
@@ -622,15 +587,15 @@ class Executor {
     if constexpr (simd::has_row_kernel<RuleFn, D, V> && (D == 1 || D == 2)) {
       if (simd::enabled()) {
         execute_leaf_rows(U, win, cx, rule, f_leaf, la, la_events, executed,
-                          cell, lookup);
+                          lookup);
         vectored = true;
       }
     }
     if (!vectored) {
       std::size_t w = 0;
+      // Naive per-vertex execution (Definition 3), in window order.
       U.for_each([&](const geom::Point<D>& p) {
-        int operands = 0;
-        V value = cell(p, operands);
+        const auto [value, operands] = eval_vertex(*guest_, rule, p, lookup);
         win[w++] = value;
         ++executed;
         // One read per operand plus one result write, each f(S(leaf)):
@@ -668,18 +633,18 @@ class Executor {
   /// scalar loop's visit order and amounts: interior cells always have
   /// 2D+1 operands, so the kLocalAccess stream is bit-identical.
   template <class Store, class Ledger, class RuleFn, class Stream,
-            class Cell, class Lookup>
+            class Lookup>
   void execute_leaf_rows(const geom::Region<D>& U, LeafWindow<D, V>& win,
                          Ctx<Store, Ledger>& cx, const RuleFn& rule,
                          core::Cost f_leaf, Stream& la,
                          std::uint64_t& la_events, std::int64_t& executed,
-                         const Cell& cell, const Lookup& lookup) const {
+                         const Lookup& lookup) const {
     const geom::Stencil<D>& st = guest_->stencil;
     const std::int64_t tmin = win.tmin();
-    // Cost of one edge cell, charged as the scalar loop charges it.
-    auto scalar_cell = [&](geom::Point<D> p, V* dst) {
-      int operands = 0;
-      *dst = cell(p, operands);
+    // One edge cell, evaluated and charged as the scalar loop does.
+    auto scalar_cell = [&](const geom::Point<D>& p, V* dst) {
+      const auto [value, operands] = eval_vertex(*guest_, rule, p, lookup);
+      *dst = value;
       ++executed;
       la.add_cost(static_cast<core::Cost>(operands + 1) * f_leaf);
       la_events += static_cast<std::uint64_t>(operands + 1);
@@ -699,7 +664,7 @@ class Executor {
       if (t >= st.m) {
         if (t - st.m < win.tmin()) {
           q.x[D - 1] = vlo;
-          if (const V* r = store_row_span(*cx.staging, q, n)) return r;
+          if (const V* r = cx.staging->row_span(q, n)) return r;
         }
         if (cx.self_row.size() < n) cx.self_row.resize(n);
         for (std::size_t i = 0; i < n; ++i) {

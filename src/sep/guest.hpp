@@ -80,21 +80,13 @@ struct LaneBatch {
   }
 };
 
-/// Values of dag vertices, keyed by lattice point — the staging medium
-/// every simulator and executor exchanges results through. V is the
-/// per-vertex value type: Word for scalar (and bit-sliced) guests,
-/// LaneBatch for SoA-batched ones.
-template <int D, class V>
-using BasicValueMap =
-    std::unordered_map<geom::Point<D>, V, geom::PointHash<D>>;
-
-/// Scalar value map (the original staging type; V = Word).
+/// Values of dag vertices, keyed by lattice point: the record
+/// sched::run_schedule builds and the medium of the hot table's
+/// hash-map baseline (tables/hotpath.hpp). Executors and simulators
+/// stage through sep::StagingStore instead (sep/staging.hpp).
 template <int D>
-using ValueMap = BasicValueMap<D, Word>;
-
-/// SoA-batched value map (V = LaneBatch).
-template <int D>
-using BatchValueMap = BasicValueMap<D, LaneBatch>;
+using ValueMap =
+    std::unordered_map<geom::Point<D>, Word, geom::PointHash<D>>;
 
 /// Neighbor operand order: for each spatial dimension i, first the
 /// -e_i neighbor then the +e_i neighbor; slots for neighbors outside
@@ -164,6 +156,55 @@ using Guest = BasicGuest<D, Word>;
 /// SoA-batched guest (V = LaneBatch): 64 scenarios per charged run.
 template <int D>
 using BatchGuest = BasicGuest<D, LaneBatch>;
+
+/// One evaluated vertex: its value and the number of operands read.
+template <class V>
+struct VertexValue {
+  V value;       ///< the vertex's dag value
+  int operands;  ///< words read: the input word, or self + in-mesh neighbors
+};
+
+/// Evaluate vertex p by Definition 3 — the one per-vertex evaluator of
+/// every executor (sep::Executor's leaves, ConcreteExecutor,
+/// sched::run_schedule, the hot table's HashMapExecutor). An input
+/// vertex (t = 0) reads initial cell 0 and counts one operand. Any
+/// other vertex applies `rule` to its self operand — value(x, t-m), or
+/// initial cell t mod m while t < m — and its in-mesh neighbors at
+/// t-1 (slots outside the mesh stay zero); it counts the self operand
+/// plus those neighbors. Staged operands are fetched through
+/// `lookup(q)` in a fixed order, self first and then the neighbors in
+/// BasicNeighbors order, so a lookup that charges per read (an H-RAM)
+/// sees the same access sequence from every caller.
+template <int D, class V, class RuleFn, class Lookup>
+inline VertexValue<V> eval_vertex(const BasicGuest<D, V>& guest,
+                                  const RuleFn& rule,
+                                  const geom::Point<D>& p,
+                                  const Lookup& lookup) {
+  const geom::Stencil<D>& st = guest.stencil;
+  if (p.t == 0) return {guest.input(p.x, 0), 1};
+  V self_prev;
+  if (p.t >= st.m) {
+    geom::Point<D> q = p;
+    q.t = p.t - st.m;
+    self_prev = lookup(q);
+  } else {
+    self_prev = guest.input(p.x, p.t % st.m);
+  }
+  BasicNeighbors<D, V> nbrs{};
+  int operands = 1;  // self operand
+  for (int i = 0; i < D; ++i) {
+    for (int s = 0; s < 2; ++s) {
+      geom::Point<D> q = p;
+      q.x[i] += (s == 0 ? -1 : 1);
+      q.t = p.t - 1;
+      if (st.in_space(q.x)) {
+        nbrs[2 * i + s] = lookup(q);
+        ++operands;
+      }
+    }
+  }
+  return {rule(p, self_prev, nbrs), operands};
+}
 
 // ---------------------------------------------------------------------
 // Scalar -> batch broadcast adapters: lift any existing scalar guest

@@ -1,10 +1,8 @@
 // Dense, window-addressed staging for the separator executor.
 //
-// The staging medium between domains is keyed by lattice points. The
-// original medium was ValueMap<D> (an unordered_map), which pays a
-// hash + probe per touch and rehash churn as tiles come and go. A
-// point's address is in fact computable in O(1): the stencil's spatial
-// grid is fixed, so (x, t) maps to (node_index(x), t) — a slot in a
+// The staging medium between domains is keyed by lattice points, and
+// a point's address is computable in O(1): the stencil's spatial grid
+// is fixed, so (x, t) maps to (node_index(x), t) — a slot in a
 // per-time-level slab of num_nodes words. StagingStore<D> stores
 // values that way:
 //
@@ -12,20 +10,20 @@
 //     bytes), retired again when the level is pruned — so the resident
 //     footprint follows the executor's wavefront, not the volume;
 //   * size() is the number of *live* words, maintained incrementally —
-//     identical semantics to the map's size(), which peak_staging()
-//     and the space-bound tests rely on;
+//     what peak_staging() and the space-bound tests measure;
 //   * level_allocs() counts slab allocations for the hot-path metrics.
 //
-// The generic accessors at the bottom (store_find / store_insert) give
-// Executor one staging interface over both StagingStore and the
-// original ValueMap (kept as a supported staging type: existing tests
-// use it, and the hot-path bench measures it as the same-run baseline).
+// StagingStore is the one staging store: sep::Executor, the
+// simulators, and StagingShard (the per-fork overlay below, which
+// answers the same calls) all stage through it. A point-keyed hash
+// map survives only as the hot table's measured baseline
+// (tables/hotpath.hpp) and as sched::run_schedule's record.
 //
-// Both store families are generic over the per-point value type V
-// (Word by default; LaneBatch for SoA-batched guests — see
-// sep/guest.hpp). Liveness, size() and level accounting count *points*
-// regardless of V, so peak-staging and slab-allocation metrics are
-// identical between a scalar run and a 64-lane batched run.
+// The store is generic over the per-point value type V (Word by
+// default; LaneBatch for SoA-batched guests — see sep/guest.hpp).
+// Liveness, size() and level accounting count *points* regardless of
+// V, so peak-staging and slab-allocation metrics are identical between
+// a scalar run and a 64-lane batched run.
 //
 // Slab memory comes from engine::Arena (BSMP_ARENA, default on), and
 // liveness is epoch-tagged: a slot is live iff its liveness byte equals
@@ -129,7 +127,7 @@ class StagingStore {
     return &lv->vals[s];
   }
 
-  /// Mutable value at q; asserts q is live (mirrors map::at).
+  /// Mutable value at q; asserts q is live.
   V& at(const geom::Point<D>& q) {
     BSMP_REQUIRE(q.t >= 0 && q.t < st_->horizon && st_->in_space(q.x));
     Level* lv = &levels_[static_cast<std::size_t>(q.t)];
@@ -176,8 +174,8 @@ class StagingStore {
     return added;
   }
 
-  /// Remove q if live (no-op otherwise, like map::erase); true when a
-  /// value was actually removed.
+  /// Remove q if live (no-op otherwise); true when a value was actually
+  /// removed.
   bool erase(const geom::Point<D>& q) {
     if (q.t < 0 || q.t >= st_->horizon || !st_->in_space(q.x)) return false;
     Level* lv = &levels_[static_cast<std::size_t>(q.t)];
@@ -201,8 +199,8 @@ class StagingStore {
   /// The stencil fixing this store's address layout.
   const geom::Stencil<D>* stencil() const { return st_; }
 
-  /// Number of live words — the same quantity ValueMap::size() reports,
-  /// so peak-staging accounting is unchanged by the dense layout.
+  /// Number of live words: the quantity peak-staging accounting and
+  /// the space-bound tests measure.
   std::size_t size() const { return live_; }
 
   /// Drop every level with t < dead_below and t < keep_from, retiring
@@ -466,141 +464,6 @@ class LeafWindow {
 };
 
 // ---------------------------------------------------------------------
-// Uniform staging accessors: the executor is templated on its staging
-// store, and these overloads bridge the two supported families — each
-// generic over the per-point value type V.
-// ---------------------------------------------------------------------
-
-/// The per-point value type of a staging store. StagingStore and
-/// StagingShard expose `value_type` directly; the unordered_map form
-/// needs the specialization (its own value_type is the pair).
-template <class Store>
-struct StoreValue {
-  using type = typename Store::value_type;
-};
-
-template <int D, class V>
-struct StoreValue<std::unordered_map<geom::Point<D>, V, geom::PointHash<D>>> {
-  using type = V;
-};
-
-template <class Store>
-using store_value_t = typename StoreValue<Store>::type;
-
-template <int D, class V>
-inline const V* store_find(const BasicValueMap<D, V>& m,
-                           const geom::Point<D>& q) {
-  auto it = m.find(q);
-  return it == m.end() ? nullptr : &it->second;
-}
-
-template <int D, class V>
-inline const V* store_find(const StagingStore<D, V>& s,
-                           const geom::Point<D>& q) {
-  return s.find(q);
-}
-
-/// Insert q -> v; returns whether q was newly added (both stores keep
-/// the first value on a duplicate insert attempt via executor paths —
-/// every dag vertex is produced exactly once, so duplicates never
-/// carry a different value).
-template <int D, class V>
-inline bool store_insert(BasicValueMap<D, V>& m, const geom::Point<D>& q,
-                         const V& v) {
-  return m.emplace(q, v).second;
-}
-
-template <int D, class V>
-inline bool store_insert(StagingStore<D, V>& s, const geom::Point<D>& q,
-                         const V& v) {
-  return s.insert(q, v);
-}
-
-/// Insert n contiguous values along the innermost dimension starting
-/// at q; returns how many were newly added. Stores without dense rows
-/// fall back to per-cell insert — same values, same count.
-template <class Store, int D, class V>
-inline std::int64_t store_insert_span(Store& s, geom::Point<D> q,
-                                      const V* src, std::size_t n) {
-  std::int64_t added = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    added += store_insert(s, q, src[i]);
-    ++q.x[D - 1];
-  }
-  return added;
-}
-
-template <int D, class V>
-inline std::int64_t store_insert_span(StagingStore<D, V>& s,
-                                      const geom::Point<D>& q, const V* src,
-                                      std::size_t n) {
-  return s.insert_span(q, src, n);
-}
-
-/// Erase q; returns whether a value was actually removed.
-template <int D, class V>
-inline bool store_erase(BasicValueMap<D, V>& m, const geom::Point<D>& q) {
-  return m.erase(q) != 0;
-}
-
-template <int D, class V>
-inline bool store_erase(StagingStore<D, V>& s, const geom::Point<D>& q) {
-  return s.erase(q);
-}
-
-/// Pointer to n contiguous live values along the innermost dimension
-/// starting at q, or nullptr when the store cannot serve the span as
-/// one dense row (absent cells, or a store without dense slabs). The
-/// SIMD leaf path tries this before staging a self-operand row cell
-/// by cell.
-template <class Store, int D>
-inline const store_value_t<Store>* store_row_span(const Store&,
-                                                  const geom::Point<D>&,
-                                                  std::size_t) {
-  return nullptr;
-}
-
-template <int D, class V>
-inline const V* store_row_span(const StagingStore<D, V>& s,
-                               const geom::Point<D>& q, std::size_t n) {
-  return s.row_span(q, n);
-}
-
-/// Pre-allocate the slab of time level t, where the store has slabs.
-template <int D, class V>
-inline void store_touch_level(BasicValueMap<D, V>&, std::int64_t) {}
-
-template <int D, class V>
-inline void store_touch_level(StagingStore<D, V>& s, std::int64_t t) {
-  s.touch_level(t);
-}
-
-/// Visit every live (point, value) pair. Order is the store's own
-/// (unspecified for ValueMap); callers needing determinism must not
-/// depend on it.
-template <int D, class V, class F>
-inline void store_for_each(const BasicValueMap<D, V>& m, F&& visit) {
-  for (const auto& [p, v] : m) visit(p, v);
-}
-
-template <int D, class V, class F>
-inline void store_for_each(const StagingStore<D, V>& s, F&& visit) {
-  s.for_each(visit);
-}
-
-/// Slab allocations of a store, when it tracks them (0 for ValueMap —
-/// the hash map's internal rehashes are exactly what it cannot see).
-template <int D, class V>
-inline std::size_t store_level_allocs(const BasicValueMap<D, V>&) {
-  return 0;
-}
-
-template <int D, class V>
-inline std::size_t store_level_allocs(const StagingStore<D, V>& s) {
-  return s.level_allocs();
-}
-
-// ---------------------------------------------------------------------
 // StagingShard: a private overlay a forked subtree of the executor
 // writes into while sibling subtrees run concurrently.
 //
@@ -616,25 +479,19 @@ inline std::size_t store_level_allocs(const StagingStore<D, V>& s) {
 //
 // The shard also records which time levels it inserted into (even if
 // every value there was erased again) so merge_into can pre-touch the
-// matching slabs of a dense base: StagingStore::level_allocs() then
-// counts exactly the slabs a serial execution would have allocated.
+// matching slabs of the base: StagingStore::level_allocs() then counts
+// exactly the slabs a serial execution would have allocated.
 //
-// `Base` is the root store type (ValueMap or StagingStore); a shard
-// over a shard shares the same Base, so template nesting is bounded.
+// A shard answers the same find/row_span/insert/insert_span/erase/size
+// calls as StagingStore, so the executor and the multiproc simulator
+// run one code path over either. A shard over a shard is the same
+// type, so template nesting over fork depth is bounded.
 // ---------------------------------------------------------------------
 
 namespace detail {
 
-template <int D, class V>
-inline BasicValueMap<D, V> shard_local(const BasicValueMap<D, V>&) {
-  return BasicValueMap<D, V>{};
-}
-
-template <int D, class V>
-inline void shard_retire(BasicValueMap<D, V>&&) {}
-
-/// Per-thread cache of retired shard-local dense stores, so the Nth
-/// fork on a thread reuses the (N-1)th fork's slabs instead of
+/// Per-thread cache of retired shard-local stores, so the Nth fork on
+/// a thread reuses the (N-1)th fork's slabs instead of
 /// re-materializing them. The constructor primes the arena's thread
 /// cache first: the pool's destructor releases slabs, and priming
 /// guarantees the cache it releases into dies later.
@@ -693,49 +550,61 @@ struct overlay_t {
 };
 inline constexpr overlay_t overlay{};
 
-template <int D, class Base>
+template <int D, class V = Word>
 class StagingShard {
  public:
-  using base_type = Base;
-  using value_type = store_value_t<Base>;
+  using value_type = V;
 
   /// Overlay directly on the base store.
-  StagingShard(overlay_t, const Base& base)
-      : base_(&base), parent_(nullptr), local_(detail::shard_local<D>(base)) {}
+  StagingShard(overlay_t, const StagingStore<D, V>& base)
+      : base_(&base), parent_(nullptr), local_(detail::shard_local(base)) {}
 
   /// Overlay on another shard (a fork within a fork).
   StagingShard(overlay_t, const StagingShard& parent)
       : base_(parent.base_),
         parent_(&parent),
-        local_(detail::shard_local<D>(*parent.base_)) {}
+        local_(detail::shard_local(*parent.base_)) {}
 
   StagingShard(const StagingShard&) = delete;
   StagingShard& operator=(const StagingShard&) = delete;
 
   /// Hand the local store back to the calling thread's shard-store
-  /// pool (dense stores, arena on): the next fork here reuses its
-  /// slabs with a bumped epoch instead of materializing cold ones.
+  /// pool (arena on): the next fork here reuses its slabs with a
+  /// bumped epoch instead of materializing cold ones.
   ~StagingShard() { detail::shard_retire(std::move(local_)); }
 
-  const value_type* find(const geom::Point<D>& q) const {
-    if (const value_type* v = store_find(local_, q)) return v;
+  const V* find(const geom::Point<D>& q) const {
+    if (const V* v = local_.find(q)) return v;
     for (const StagingShard* s = parent_; s != nullptr; s = s->parent_)
-      if (const value_type* v = store_find(s->local_, q)) return v;
-    return store_find(*base_, q);
+      if (const V* v = s->local_.find(q)) return v;
+    return base_->find(q);
   }
 
-  bool insert(const geom::Point<D>& q, const value_type& v) {
-    note_level(q.t);
-    return store_insert(local_, q, v);
+  /// Never a dense row: a span may straddle the local, enclosing and
+  /// base layers, so the SIMD leaf stages it cell by cell.
+  const V* row_span(const geom::Point<D>&, std::size_t) const {
+    return nullptr;
   }
 
-  bool erase(const geom::Point<D>& q) { return store_erase(local_, q); }
+  bool insert(const geom::Point<D>& q, const V& v) {
+    touch_level(q.t);
+    return local_.insert(q, v);
+  }
+
+  std::int64_t insert_span(const geom::Point<D>& q, const V* src,
+                           std::size_t n) {
+    touch_level(q.t);
+    return local_.insert_span(q, src, n);
+  }
+
+  bool erase(const geom::Point<D>& q) { return local_.erase(q); }
 
   /// Live values written locally (not the fall-through total): the
   /// executor tracks staging peaks via relative deltas, not sizes.
   std::size_t size() const { return local_.size(); }
 
-  void note_level(std::int64_t t) {
+  /// Record that level t was written, so merge_into pre-touches it.
+  void touch_level(std::int64_t t) {
     auto it = std::lower_bound(touched_.begin(), touched_.end(), t);
     if (it == touched_.end() || *it != t) touched_.insert(it, t);
   }
@@ -745,59 +614,16 @@ class StagingShard {
   /// shard ever wrote, then insert the surviving values.
   template <class Dst>
   void merge_into(Dst& dst) const {
-    for (std::int64_t t : touched_) store_touch_level(dst, t);
-    store_for_each<D>(local_,
-                      [&dst](const geom::Point<D>& p, const value_type& v) {
-                        store_insert(dst, p, v);
-                      });
+    for (std::int64_t t : touched_) dst.touch_level(t);
+    local_.for_each(
+        [&dst](const geom::Point<D>& p, const V& v) { dst.insert(p, v); });
   }
 
  private:
-  const Base* base_;
+  const StagingStore<D, V>* base_;
   const StagingShard* parent_;
-  Base local_;
+  StagingStore<D, V> local_;
   std::vector<std::int64_t> touched_;  // sorted distinct inserted levels
-};
-
-/// Accessor overloads so the executor can treat a shard as a store.
-template <int D, class Base>
-inline const store_value_t<Base>* store_find(const StagingShard<D, Base>& s,
-                                             const geom::Point<D>& q) {
-  return s.find(q);
-}
-
-template <int D, class Base>
-inline bool store_insert(StagingShard<D, Base>& s, const geom::Point<D>& q,
-                         const store_value_t<Base>& v) {
-  return s.insert(q, v);
-}
-
-template <int D, class Base>
-inline bool store_erase(StagingShard<D, Base>& s, const geom::Point<D>& q) {
-  return s.erase(q);
-}
-
-template <int D, class Base>
-inline void store_touch_level(StagingShard<D, Base>& s, std::int64_t t) {
-  s.note_level(t);
-}
-
-template <int D, class Base>
-inline std::size_t store_level_allocs(const StagingShard<D, Base>&) {
-  return 0;  // shard slabs are scratch; only base-store slabs count
-}
-
-/// Maps a store type to the shard type that overlays it: shards of a
-/// base store and shards of such shards are the *same* type, so the
-/// executor's template recursion over fork depth is bounded.
-template <int D, class Store>
-struct ShardOf {
-  using type = StagingShard<D, Store>;
-};
-
-template <int D, class Base>
-struct ShardOf<D, StagingShard<D, Base>> {
-  using type = StagingShard<D, Base>;
 };
 
 // ---------------------------------------------------------------------

@@ -44,24 +44,8 @@ namespace detail {
 
 /// Remove staged values that can no longer be read: everything below
 /// `min_unexecuted_t - reach`, except the final rows kept for output.
-template <int D, class V>
-void prune_staging(const geom::Stencil<D>& st,
-                   sep::BasicValueMap<D, V>& staging,
-                   std::int64_t min_unexecuted_t) {
-  engine::trace::Span span(engine::trace::Cat::kStaging, "staging-prune",
-                           min_unexecuted_t);
-  const std::int64_t dead_below = min_unexecuted_t - st.reach();
-  const std::int64_t keep_from = st.horizon - st.m;
-  for (auto it = staging.begin(); it != staging.end();) {
-    if (it->first.t < dead_below && it->first.t < keep_from)
-      it = staging.erase(it);
-    else
-      ++it;
-  }
-}
-
-/// Dense-staging form: staleness is a pure function of t, so whole
-/// levels are dropped (and their slabs released).
+/// Staleness is a pure function of t, so whole levels are dropped (and
+/// their slabs released).
 template <int D, class V>
 void prune_staging(const geom::Stencil<D>& st,
                    sep::StagingStore<D, V>& staging,

@@ -52,7 +52,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -94,21 +93,7 @@ struct MultiprocConfig {
   std::string hot_label;
 };
 
-namespace detail {
-
-/// Construct the simulator's staging store: StagingStore wants the
-/// stencil for its dense window geometry; a plain ValueMap does not.
-template <class Store, int D>
-Store make_staging(const geom::Stencil<D>* st) {
-  if constexpr (std::is_constructible_v<Store, const geom::Stencil<D>*>)
-    return Store(st);
-  else
-    return Store{};
-}
-
-}  // namespace detail
-
-template <int D, class V = sep::Word, class Store = sep::StagingStore<D, V>>
+template <int D, class V = sep::Word>
 class MultiprocSimulator {
  public:
   MultiprocSimulator(const sep::BasicGuest<D, V>* guest,
@@ -117,7 +102,7 @@ class MultiprocSimulator {
         host_(host),
         cfg_(cfg),
         clocks_(host.p),
-        staging_(detail::make_staging<Store, D>(&guest->stencil)) {
+        staging_(&guest->stencil) {
     guest_->validate();
     host_.validate();
     const geom::Stencil<D>& st = guest_->stencil;
@@ -232,7 +217,7 @@ class MultiprocSimulator {
                       std::chrono::steady_clock::now() - hot_t0)
                       .count();
       h.peak_staging_words = exec_->peak_staging();
-      h.staging_allocs = sep::store_level_allocs(staging_);
+      h.staging_allocs = staging_.level_allocs();
       cfg_.metrics->record_hot(std::move(h));
     }
 
@@ -247,6 +232,10 @@ class MultiprocSimulator {
 
  private:
   using Delta = typename sep::Executor<D, V>::ExecDelta;
+  /// The root staging store, and the overlay every fork writes into
+  /// (a fork within a fork overlays the enclosing shard).
+  using Store = sep::StagingStore<D, V>;
+  using Shard = sep::StagingShard<D, V>;
 
   // -------------------------------------------------------------------
   // Phase logs: the recorded side effects of one forked subtree. A
@@ -487,7 +476,6 @@ class MultiprocSimulator {
   void relocate_children_forked(
       const geom::Region<D>& r,
       const typename geom::Region<D>::Children& children, PhaseCtx<S>& cx) {
-    using Shard = typename sep::ShardOf<D, S>::type;
     struct Fork {
       engine::Scratch<PhaseLog> log;  // pooled on the forking thread
       std::optional<Shard> shard;
@@ -530,7 +518,6 @@ class MultiprocSimulator {
   template <class TileWave>
   void exec_tilewave_forked(const TileWave& wave, std::size_t k,
                             double rdist) {
-    using Shard = typename sep::ShardOf<D, Store>::type;
     struct Fork {
       engine::Scratch<PhaseLog> log;  // pooled on the forking thread
       std::optional<Shard> shard;
@@ -747,7 +734,6 @@ class MultiprocSimulator {
   template <class S>
   void exec_wave_forked(const std::vector<geom::Region<D>>& wave,
                         PhaseCtx<S>& cx) {
-    using Shard = typename sep::ShardOf<D, S>::type;
     struct Fork {
       engine::Scratch<SubtileStep> step;  // pooled on the forking thread
       std::optional<Shard> shard;
@@ -798,11 +784,11 @@ class MultiprocSimulator {
   core::Cost link_ = 0;
 };
 
-template <int D, class V, class Store = sep::StagingStore<D, V>>
+template <int D, class V>
 SimResult<D, V> simulate_multiproc(const sep::BasicGuest<D, V>& guest,
                                    const machine::MachineSpec& host,
                                    MultiprocConfig cfg = {}) {
-  MultiprocSimulator<D, V, Store> sim(&guest, host, cfg);
+  MultiprocSimulator<D, V> sim(&guest, host, cfg);
   return sim.run();
 }
 

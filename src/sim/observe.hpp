@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "core/logmath.hpp"
@@ -65,18 +66,40 @@ std::vector<geom::Point<D>> final_points(const geom::Stencil<D>& st) {
   return out;
 }
 
-/// Extract the final values from a staging store (ValueMap,
-/// StagingStore or a shard, any value type): every final level is
-/// read row by row, as one dense span where the store serves it and
-/// point by point otherwise. Asserts every final point is present.
+namespace detail {
+
+/// A staging store's value type; Word for the ValueMap
+/// sched::run_schedule returns (whose value_type is the pair).
 template <int D, class Store>
-FinalValues<D, sep::store_value_t<Store>> extract_final(
+using staged_value_t =
+    std::conditional_t<std::is_same_v<Store, sep::ValueMap<D>>, sep::Word,
+                       typename Store::value_type>;
+
+}  // namespace detail
+
+/// Extract the final values from a staging store (StagingStore or a
+/// shard, any value type) or the ValueMap sched::run_schedule returns:
+/// every final level is read row by row, as one dense span where the
+/// store serves it and point by point otherwise. Asserts every final
+/// point is present.
+template <int D, class Store>
+FinalValues<D, detail::staged_value_t<D, Store>> extract_final(
     const geom::Stencil<D>& st, const Store& staging) {
-  FinalValues<D, sep::store_value_t<Store>> out(st);
+  using V = detail::staged_value_t<D, Store>;
+  constexpr bool kMap = std::is_same_v<Store, sep::ValueMap<D>>;
+  auto find = [&staging](const geom::Point<D>& q) -> const V* {
+    if constexpr (kMap) {
+      auto it = staging.find(q);
+      return it == staging.end() ? nullptr : &it->second;
+    } else {
+      return staging.find(q);
+    }
+  };
+  FinalValues<D, V> out(st);
   const int64_t row = st.extent[D - 1];
   const int64_t rows = st.num_nodes() / row;
   for (int64_t t = st.horizon - out.cells(); t < st.horizon; ++t) {
-    auto* level = out.level(t);
+    V* level = out.level(t);
     geom::Point<D> q;
     q.t = t;
     for (int64_t r = 0; r < rows; ++r) {
@@ -86,15 +109,17 @@ FinalValues<D, sep::store_value_t<Store>> extract_final(
         rest /= st.extent[i];
       }
       q.x[D - 1] = 0;
-      auto* dst = level + r * row;
-      if (const auto* src = sep::store_row_span(
-              staging, q, static_cast<std::size_t>(row))) {
-        std::copy(src, src + row, dst);
-        continue;
+      V* dst = level + r * row;
+      if constexpr (!kMap) {
+        if (const V* src =
+                staging.row_span(q, static_cast<std::size_t>(row))) {
+          std::copy(src, src + row, dst);
+          continue;
+        }
       }
       for (int64_t x = 0; x < row; ++x) {
         q.x[D - 1] = x;
-        const auto* v = sep::store_find(staging, q);
+        const V* v = find(q);
         BSMP_ASSERT_MSG(v != nullptr, "final value missing at t=" << q.t);
         dst[x] = *v;
       }

@@ -13,12 +13,11 @@
 // The emitter asserts the charging invariant the whole batching rests
 // on: the packed run's vertices, charged totals and peak staging are
 // bit-identical to a *scalar* run of the same stencil (charging is
-// count-based — it counts points, never lane contents), and the dense
-// StagingStore and hash-map ValueMap paths agree on everything. The
-// emitted table carries only deterministic fields (lane digests,
-// counts, charged totals) and is golden-digested by the conformance
-// suite; wall-clock throughput goes to EngineCtx::metrics with
-// lanes=64, which bench_exec_batch serializes and gates.
+// count-based — it counts points, never lane contents). The emitted
+// table carries only deterministic fields (lane digests, counts,
+// charged totals) and is golden-digested by the conformance suite;
+// wall-clock throughput goes to EngineCtx::metrics with lanes=64,
+// which bench_exec_batch serializes and gates.
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,8 +34,9 @@ namespace {
 
 /// FNV-1a over the final rows in final_points order — a deterministic
 /// content digest of all 64 lanes at once.
-template <int D, class Store>
-std::uint64_t final_digest(const geom::Stencil<D>& st, const Store& staging) {
+template <int D>
+std::uint64_t final_digest(const geom::Stencil<D>& st,
+                           const sep::StagingStore<D>& staging) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t w) {
     for (int b = 0; b < 64; b += 8) {
@@ -88,26 +88,9 @@ sep::Guest<1> ens110_guest(std::int64_t n, std::int64_t horizon,
 template <int D>
 EnsRun ens_config(const std::string& label, const sep::Guest<D>& guest,
                   const sep::Guest<D>& scalar_guest) {
-  // Packed run, dense store and hash-map store: same executor, both
-  // stores must agree on every deterministic field and value.
-  sep::StagingStore<D> dense_staging(&guest.stencil);
-  hotpath::ExecStats batch = hotpath::run_dense<D>(guest, dense_staging);
-  sep::ValueMap<D> map_staging;
-  {
-    sep::Executor<D> exec(&guest, hotpath::detail::exec_config(guest));
-    hotpath::ExecStats viamap =
-        hotpath::detail::drive(guest, exec, map_staging);
-    BSMP_REQUIRE_MSG(viamap.vertices == batch.vertices &&
-                         viamap.total_cost == batch.total_cost &&
-                         viamap.peak_staging_words == batch.peak_staging_words,
-                     label << ": dense and map stores disagree on "
-                              "deterministic fields");
-    BSMP_REQUIRE_MSG(
-        sim::same_values<D>(
-            sim::extract_final<D>(guest.stencil, dense_staging),
-            sim::extract_final<D>(guest.stencil, map_staging)),
-        label << ": dense and map stores computed different lane values");
-  }
+  // The packed 64-lane run.
+  sep::StagingStore<D> staging(&guest.stencil);
+  hotpath::ExecStats batch = hotpath::run_dense<D>(guest, staging);
 
   // The charging invariant: a packed 64-lane run charges exactly what
   // one scalar run of the same stencil charges — lanes ride for free.
@@ -124,7 +107,7 @@ EnsRun ens_config(const std::string& label, const sep::Guest<D>& guest,
   BSMP_REQUIRE_MSG(scalar.staging_allocs == batch.staging_allocs,
                    label << ": batch and scalar slab allocations differ");
 
-  return {label, batch, scalar, final_digest<D>(guest.stencil, dense_staging)};
+  return {label, batch, scalar, final_digest<D>(guest.stencil, staging)};
 }
 
 }  // namespace

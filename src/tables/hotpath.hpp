@@ -20,6 +20,7 @@
 #pragma once
 
 #include <chrono>
+#include <type_traits>
 #include <vector>
 
 #include "core/cost.hpp"
@@ -45,12 +46,13 @@ struct ExecStats {
   }
 };
 
-/// The pre-flat-staging executor, kept verbatim as the baseline the
-/// "hot" artifact measures against: ValueMap staging throughout (the
-/// leaf interior lives in a per-leaf hash map), preboundary/out-set
-/// point vectors materialized at every recursion level, and one
-/// kCompute plus one kLocalAccess charge per vertex. Its charges are
-/// bit-identical to sep::Executor's batched ones by construction.
+/// The pre-flat-staging executor, kept as the baseline the "hot"
+/// artifact measures against: ValueMap staging throughout (the leaf
+/// interior lives in a per-leaf hash map), preboundary/out-set point
+/// vectors materialized at every recursion level, and one kCompute plus
+/// one kLocalAccess charge per vertex. Vertices are evaluated by the
+/// shared sep::eval_vertex. Its charges are bit-identical to
+/// sep::Executor's batched ones by construction.
 template <int D>
 class HashMapExecutor {
  public:
@@ -132,7 +134,6 @@ class HashMapExecutor {
 
   void execute_leaf(const geom::Region<D>& U, sep::ValueMap<D>& staging,
                     std::vector<geom::Point<D>>& out) {
-    const geom::Stencil<D>& st = guest_->stencil;
     const core::Cost f_leaf =
         cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(U.width())));
     sep::ValueMap<D> local;
@@ -148,35 +149,8 @@ class HashMapExecutor {
     };
 
     U.for_each([&](const geom::Point<D>& p) {
-      sep::Word value;
-      int operands = 0;
-      if (p.t == 0) {
-        value = guest_->input(p.x, 0);
-        operands = 1;
-      } else {
-        sep::Word self_prev;
-        if (p.t >= st.m) {
-          geom::Point<D> q = p;
-          q.t = p.t - st.m;
-          self_prev = lookup(q);
-        } else {
-          self_prev = guest_->input(p.x, p.t % st.m);
-        }
-        sep::NeighborWords<D> nbrs{};
-        for (int i = 0; i < D; ++i) {
-          for (int s = 0; s < 2; ++s) {
-            geom::Point<D> q = p;
-            q.x[i] += (s == 0 ? -1 : 1);
-            q.t = p.t - 1;
-            if (st.in_space(q.x)) {
-              nbrs[2 * i + s] = lookup(q);
-              ++operands;
-            }
-          }
-        }
-        ++operands;
-        value = guest_->rule(p, self_prev, nbrs);
-      }
+      const auto [value, operands] =
+          sep::eval_vertex(*guest_, guest_->rule, p, lookup);
       local.emplace(p, value);
       ++vertices_;
       ledger_->charge(core::CostKind::kCompute, 1.0);
@@ -200,6 +174,24 @@ class HashMapExecutor {
   std::size_t peak_staging_ = 0;
 };
 
+/// HashMapExecutor's staging prune between wavefronts: the map form of
+/// sim::detail::prune_staging (same staleness rule, point by point).
+template <int D>
+void prune_map_staging(const geom::Stencil<D>& st,
+                       sep::ValueMap<D>& staging,
+                       std::int64_t min_unexecuted_t) {
+  engine::trace::Span span(engine::trace::Cat::kStaging, "staging-prune",
+                           min_unexecuted_t);
+  const std::int64_t dead_below = min_unexecuted_t - st.reach();
+  const std::int64_t keep_from = st.horizon - st.m;
+  for (auto it = staging.begin(); it != staging.end();) {
+    if (it->first.t < dead_below && it->first.t < keep_from)
+      it = staging.erase(it);
+    else
+      ++it;
+  }
+}
+
 namespace detail {
 
 template <int D, class V>
@@ -212,10 +204,12 @@ sep::ExecutorConfig exec_config(const sep::BasicGuest<D, V>& guest) {
 
 /// Drive `exec` over the full space-time volume in the same tile
 /// wavefronts sim::simulate_dc_uniproc uses, pruning staging between
-/// wavefronts; returns the staging store for final-value comparison.
+/// wavefronts; `staging` (a StagingStore, or HashMapExecutor's map)
+/// keeps the final values for comparison.
 template <int D, class V, class Exec, class Store>
 ExecStats drive(const sep::BasicGuest<D, V>& guest, Exec& exec,
                 Store& staging) {
+  constexpr bool kMap = std::is_same_v<Store, sep::ValueMap<D>>;
   const geom::Stencil<D>& st = guest.stencil;
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
@@ -233,7 +227,10 @@ ExecStats drive(const sep::BasicGuest<D, V>& guest, Exec& exec,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t k = 0; k < waves.size(); ++k) {
     for (const auto& tile : waves[k]) exec.execute(tile, staging);
-    sim::detail::prune_staging<D>(st, staging, suffix_tmin[k + 1]);
+    if constexpr (kMap)
+      prune_map_staging<D>(st, staging, suffix_tmin[k + 1]);
+    else
+      sim::detail::prune_staging<D>(st, staging, suffix_tmin[k + 1]);
   }
   ExecStats s;
   s.seconds = std::chrono::duration<double>(
@@ -241,7 +238,7 @@ ExecStats drive(const sep::BasicGuest<D, V>& guest, Exec& exec,
                   .count();
   s.vertices = exec.vertices_executed();
   s.peak_staging_words = exec.peak_staging();
-  s.staging_allocs = sep::store_level_allocs(staging);
+  if constexpr (!kMap) s.staging_allocs = staging.level_allocs();
   s.total_cost = ledger.total();
   return s;
 }

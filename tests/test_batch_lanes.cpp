@@ -6,8 +6,7 @@
 //   * differential: lane l of the batched final values is byte-
 //     identical to the corresponding independent scalar run, for every
 //     lane, in both batch forms (bit-sliced Word and SoA LaneBatch),
-//     across d in {1,2} x store {dense, hashmap} x Pool {1,2,4} x fork
-//     grain {off, 4};
+//     across d in {1,2} x Pool {1,2,4} x fork grain {off, 4};
 //   * charging: the batched run's per-kind charged cost bits, event
 //     counts, vertex totals, peak staging and slab allocations equal a
 //     scalar run of the same stencil exactly (charging is count-based
@@ -45,10 +44,11 @@ struct Outcome {
 };
 
 /// Drive the guest over the full volume through the same wavefront
-/// loop the simulators use. Generic over the value type and store.
-template <int D, class V, class Store>
-Outcome<D, V> drive(const sep::BasicGuest<D, V>& g, Store& staging,
-                    int64_t tile, int64_t leaf, int64_t grain) {
+/// loop the simulators use. Generic over the value type.
+template <int D, class V>
+Outcome<D, V> drive(const sep::BasicGuest<D, V>& g,
+                    sep::StagingStore<D, V>& staging, int64_t tile,
+                    int64_t leaf, int64_t grain) {
   sep::ExecutorConfig cfg;
   cfg.leaf_width = leaf;
   cfg.f = hram::AccessFn::hierarchical(D, 4.0);
@@ -69,7 +69,7 @@ Outcome<D, V> drive(const sep::BasicGuest<D, V>& g, Store& staging,
   }
   out.vertices = exec.vertices_executed();
   out.peak = exec.peak_staging();
-  out.allocs = sep::store_level_allocs(staging);
+  out.allocs = staging.level_allocs();
   out.fin = sim::extract_final<D>(g.stencil, staging);
   return out;
 }
@@ -159,15 +159,16 @@ sep::Guest<2> lane_mix_guest(const sep::BatchGuest<2>& batch, int lane,
 
 // ---------------------------------------------------------------------
 // Lane-differential: every lane == its scalar run, charges == scalar,
-// across store {dense, hashmap} x Pool {1,2,4} x grain {off, 4}.
+// across Pool {1,2,4} x grain {off, 4}.
 // ---------------------------------------------------------------------
 
 TEST(BatchLanes, D1BitSlicedLanesMatchScalarRunsAcrossStoresPoolsGrains) {
   const int64_t n = 64, T = 64, tile = 32, leaf = 2;
   auto packed = packed110_guest(n, T, 99);
 
-  // The 64 independent scalar runs, once; all charge identically
-  // (charging depends only on the stencil), so keep one charge record.
+  // The 64 independent scalar runs, once, each checked against the
+  // direct guest run; all charge identically (charging depends only on
+  // the stencil), so keep one charge record.
   std::array<sim::FinalValues<1>, sep::kLanes> lane_fin;
   Outcome<1, sep::Word> scalar0;
   for (int l = 0; l < sep::kLanes; ++l) {
@@ -176,37 +177,26 @@ TEST(BatchLanes, D1BitSlicedLanesMatchScalarRunsAcrossStoresPoolsGrains) {
     auto out = drive<1>(g, staging, tile, leaf, /*grain=*/0);
     if (l == 0) scalar0 = out;
     expect_same_charges<1>(out, scalar0, "scalar lane " + std::to_string(l));
+    EXPECT_TRUE(sim::same_values<1>(out.fin,
+                                    sim::reference_run<1>(g).final_values))
+        << "scalar lane " << l << " diverged from the direct guest run";
     lane_fin[static_cast<std::size_t>(l)] = std::move(out.fin);
   }
 
-  for (bool dense : {true, false}) {
-    for (int64_t grain : {int64_t{0}, int64_t{4}}) {
-      for (int threads : {1, 2, 4}) {
-        engine::Pool pool(threads);
-        auto bind = pool.bind_caller();
-        const std::string what = std::string("d1 ") +
-                                 (dense ? "dense" : "hashmap") + " grain=" +
-                                 std::to_string(grain) + " threads=" +
-                                 std::to_string(threads);
-        Outcome<1, sep::Word> batch;
-        if (dense) {
-          sep::StagingStore<1> staging(&packed.stencil);
-          batch = drive<1>(packed, staging, tile, leaf, grain);
-        } else {
-          sep::ValueMap<1> staging;
-          batch = drive<1>(packed, staging, tile, leaf, grain);
-        }
-        // Slab allocations only exist for the dense store; everything
-        // else must match the scalar run exactly in either store.
-        auto expected = scalar0;
-        if (!dense) expected.allocs = 0;
-        expect_same_charges<1>(batch, expected, what);
-        for (int l = 0; l < sep::kLanes; ++l) {
-          EXPECT_TRUE(sim::same_values<1>(
-              sep::extract_bit_lane<1>(batch.fin, l),
-              lane_fin[static_cast<std::size_t>(l)]))
-              << what << ": lane " << l << " diverged from its scalar run";
-        }
+  for (int64_t grain : {int64_t{0}, int64_t{4}}) {
+    for (int threads : {1, 2, 4}) {
+      engine::Pool pool(threads);
+      auto bind = pool.bind_caller();
+      const std::string what = "d1 grain=" + std::to_string(grain) +
+                               " threads=" + std::to_string(threads);
+      sep::StagingStore<1> staging(&packed.stencil);
+      auto batch = drive<1>(packed, staging, tile, leaf, grain);
+      expect_same_charges<1>(batch, scalar0, what);
+      for (int l = 0; l < sep::kLanes; ++l) {
+        EXPECT_TRUE(sim::same_values<1>(
+            sep::extract_bit_lane<1>(batch.fin, l),
+            lane_fin[static_cast<std::size_t>(l)]))
+            << what << ": lane " << l << " diverged from its scalar run";
       }
     }
   }
@@ -226,35 +216,26 @@ TEST(BatchLanes, D2SoALanesMatchScalarRunsAcrossStoresPoolsGrains) {
     auto out = drive<2>(g, staging, tile, leaf, /*grain=*/0);
     if (l == 0) scalar0 = out;
     expect_same_charges<2>(out, scalar0, "scalar lane " + std::to_string(l));
+    EXPECT_TRUE(sim::same_values<2>(out.fin,
+                                    sim::reference_run<2>(g).final_values))
+        << "scalar lane " << l << " diverged from the direct guest run";
     lane_fin[static_cast<std::size_t>(l)] = std::move(out.fin);
   }
 
-  for (bool dense : {true, false}) {
-    for (int64_t grain : {int64_t{0}, int64_t{4}}) {
-      for (int threads : {1, 2, 4}) {
-        engine::Pool pool(threads);
-        auto bind = pool.bind_caller();
-        const std::string what = std::string("d2 ") +
-                                 (dense ? "dense" : "hashmap") + " grain=" +
-                                 std::to_string(grain) + " threads=" +
-                                 std::to_string(threads);
-        Outcome<2, sep::LaneBatch> batch;
-        if (dense) {
-          sep::StagingStore<2, sep::LaneBatch> staging(&batch_g.stencil);
-          batch = drive<2>(batch_g, staging, tile, leaf, grain);
-        } else {
-          sep::BatchValueMap<2> staging;
-          batch = drive<2>(batch_g, staging, tile, leaf, grain);
-        }
-        auto expected = scalar0;
-        if (!dense) expected.allocs = 0;
-        expect_same_charges<2>(batch, expected, what);
-        for (int l = 0; l < sep::kLanes; ++l) {
-          EXPECT_TRUE(sim::same_values<2>(
-              sep::extract_lane<2>(batch.fin, l),
-              lane_fin[static_cast<std::size_t>(l)]))
-              << what << ": lane " << l << " diverged from its scalar run";
-        }
+  for (int64_t grain : {int64_t{0}, int64_t{4}}) {
+    for (int threads : {1, 2, 4}) {
+      engine::Pool pool(threads);
+      auto bind = pool.bind_caller();
+      const std::string what = "d2 grain=" + std::to_string(grain) +
+                               " threads=" + std::to_string(threads);
+      sep::StagingStore<2, sep::LaneBatch> staging(&batch_g.stencil);
+      auto batch = drive<2>(batch_g, staging, tile, leaf, grain);
+      expect_same_charges<2>(batch, scalar0, what);
+      for (int l = 0; l < sep::kLanes; ++l) {
+        EXPECT_TRUE(sim::same_values<2>(
+            sep::extract_lane<2>(batch.fin, l),
+            lane_fin[static_cast<std::size_t>(l)]))
+            << what << ": lane " << l << " diverged from its scalar run";
       }
     }
   }
@@ -380,9 +361,8 @@ TEST(BatchLanes, LaneBatchStagingStoreBasics) {
   EXPECT_TRUE(s.erase(p));
   EXPECT_EQ(s.size(), 0u);
 
-  // Shard overlay over a LaneBatch base: value type follows the base.
-  sep::StagingShard<1, sep::StagingStore<1, sep::LaneBatch>> shard(
-      sep::overlay, s);
+  // Shard overlay over a LaneBatch base.
+  sep::StagingShard<1, sep::LaneBatch> shard(sep::overlay, s);
   EXPECT_TRUE(shard.insert(p, v));
   ASSERT_NE(shard.find(p), nullptr);
   EXPECT_EQ((*shard.find(p))[9], 1234u);

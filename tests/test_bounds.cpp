@@ -121,8 +121,8 @@ TEST(SeparatorMeasured, ExecutorWithinScaledProposition3Time) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     auto d = geom::make_diamond(&g.stencil, 64, -r / 2, r);
-    sep::ValueMap<1> staging;
-    for (const auto& q : d.preboundary()) staging.emplace(q, 1);
+    sep::StagingStore<1> staging(&g.stencil);
+    for (const auto& q : d.preboundary()) staging.insert(q, 1);
     exec.execute(d, staging);
     double k = static_cast<double>(d.count());
     EXPECT_LE(ledger.total(), 16.0 * spec.time_bound(k, 1.0, 1.0))

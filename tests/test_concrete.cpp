@@ -18,13 +18,14 @@ using AddrMap =
 namespace {
 
 /// Drive the concrete executor over the whole volume, transporting
-/// values between tiles through a host-side map (the "rest of the
-/// machine's memory"). Returns the final values and the HRam used.
+/// values between tiles through a host-side store (the "rest of the
+/// machine's memory"). Returns that store; the HRam is the caller's.
 template <int D>
-sep::ValueMap<D> run_concrete(const sep::Guest<D>& guest, hram::HRam& ram,
-                              int64_t tile_w, int64_t leaf_w) {
+sep::StagingStore<D> run_concrete(const sep::Guest<D>& guest,
+                                  hram::HRam& ram, int64_t tile_w,
+                                  int64_t leaf_w) {
   sep::ConcreteExecutor<D> exec(&guest, &ram, leaf_w);
-  sep::ValueMap<D> transported;
+  sep::StagingStore<D> transported(&guest.stencil);
   geom::TileGrid<D> grid(&guest.stencil, tile_w);
   for (const auto& wave : grid.wavefronts()) {
     for (const auto& tile : wave) {
@@ -41,7 +42,7 @@ sep::ValueMap<D> run_concrete(const sep::Guest<D>& guest, hram::HRam& ram,
         --addr;
       }
       auto out = exec.execute(tile, pre);
-      for (const auto& [q, a] : out) transported[q] = ram.read(a);
+      for (const auto& [q, a] : out) transported.insert(q, ram.read(a));
     }
   }
   return transported;
@@ -99,7 +100,7 @@ TEST(Concrete, ChargesAgreeWithAbstractExecutor) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::TileGrid<1> grid(&g.stencil, n);
-    sep::ValueMap<1> staging;
+    sep::StagingStore<1> staging(&g.stencil);
     for (const auto& wave : grid.wavefronts())
       for (const auto& t : wave) exec.execute(t, staging);
     double abstract = ledger.total();

@@ -28,11 +28,9 @@ using namespace bsmp;
 // an overlay on the copied-from object (dangling once it dies), so
 // copying must not compile — overlays are built with the sep::overlay
 // tag only.
-static_assert(!std::is_copy_constructible_v<
-                  sep::StagingShard<1, sep::StagingStore<1>>>,
+static_assert(!std::is_copy_constructible_v<sep::StagingShard<1>>,
               "StagingShard must not be copyable");
-static_assert(!std::is_copy_assignable_v<
-                  sep::StagingShard<2, sep::StagingStore<2>>>,
+static_assert(!std::is_copy_assignable_v<sep::StagingShard<2>>,
               "StagingShard must not be copy-assignable");
 
 namespace {
@@ -195,7 +193,7 @@ TEST_P(ExecutorSweep, MatchesReference) {
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
   geom::TileGrid<1> grid(&g.stencil, tile);
-  sep::ValueMap<1> staging;
+  sep::StagingStore<1> staging(&g.stencil);
   for (const auto& wave : grid.wavefronts())
     for (const auto& t : wave) exec.execute(t, staging);
 
@@ -412,7 +410,7 @@ TEST(FailureInjection, CorruptedStagingValuePropagatesToOutputs) {
   exec.set_ledger(&ledger);
 
   geom::TileGrid<1> grid(&g.stencil, 8);
-  sep::ValueMap<1> staging;
+  sep::StagingStore<1> staging(&g.stencil);
   bool corrupted = false;
   for (const auto& wave : grid.wavefronts()) {
     for (const auto& tile : wave) {
@@ -464,11 +462,11 @@ struct DriveOutcome {
 };
 
 /// Run the guest through the wavefront driver with the given grain and
-/// return everything the determinism contract pins. `Store` selects
-/// the staging type (dense StagingStore or ValueMap).
-template <int D, class Store>
-DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g, Store& staging,
-                                 int64_t tile, int64_t leaf, int64_t grain) {
+/// return everything the determinism contract pins.
+template <int D>
+DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g,
+                                 sep::StagingStore<D>& staging, int64_t tile,
+                                 int64_t leaf, int64_t grain) {
   sep::ExecutorConfig cfg;
   cfg.leaf_width = leaf;
   cfg.f = hram::AccessFn::hierarchical(D, 4.0);
@@ -490,7 +488,7 @@ DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g, Store& staging,
   }
   out.vertices = exec.vertices_executed();
   out.peak = exec.peak_staging();
-  out.allocs = sep::store_level_allocs<D>(staging);
+  out.allocs = staging.level_allocs();
   out.fin = sim::extract_final<D>(g.stencil, staging);
   return out;
 }
@@ -501,6 +499,11 @@ template <int D>
 void grain_pool_matrix(const sep::Guest<D>& g, int64_t tile, int64_t leaf) {
   sep::StagingStore<D> ref_staging(&g.stencil);
   auto ref = drive_with_grain<D>(g, ref_staging, tile, leaf, /*grain=*/0);
+  // The serial run itself against the independent oracles: the direct
+  // guest run for values, the volume for the vertex count.
+  EXPECT_TRUE(
+      sim::same_values<D>(ref.fin, sim::reference_run<D>(g).final_values));
+  EXPECT_EQ(ref.vertices, g.stencil.num_nodes() * g.stencil.horizon);
 
   for (int64_t grain : {int64_t{2}, int64_t{1} << 30}) {
     for (int threads : {1, 2, 4}) {
@@ -508,28 +511,11 @@ void grain_pool_matrix(const sep::Guest<D>& g, int64_t tile, int64_t leaf) {
       auto bind = pool.bind_caller();
       sep::StagingStore<D> staging(&g.stencil);
       auto got = drive_with_grain<D>(g, staging, tile, leaf, grain);
-      ref.expect_eq(got, "dense d=" + std::to_string(D) + " grain=" +
-                             std::to_string(grain) + " threads=" +
-                             std::to_string(threads));
+      ref.expect_eq(got, "d=" + std::to_string(D) + " grain=" +
+                             std::to_string(grain) +
+                             " threads=" + std::to_string(threads));
     }
   }
-
-  // ValueMap staging through the same matrix: the shard fall-through
-  // and merge must be store-agnostic (allocs are 0 on both sides).
-  sep::ValueMap<D> ref_map;
-  auto refm = drive_with_grain<D>(g, ref_map, tile, leaf, /*grain=*/0);
-  for (int threads : {2, 4}) {
-    engine::Pool pool(threads);
-    auto bind = pool.bind_caller();
-    sep::ValueMap<D> staging;
-    auto got = drive_with_grain<D>(g, staging, tile, leaf, /*grain=*/2);
-    refm.expect_eq(got, "map d=" + std::to_string(D) + " threads=" +
-                            std::to_string(threads));
-  }
-  // And the two staging types agree with each other.
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i)
-    EXPECT_EQ(ref.cost_bits[i], refm.cost_bits[i]) << "store-type drift";
-  EXPECT_TRUE(sim::same_values<D>(ref.fin, refm.fin));
 }
 
 TEST(ParallelGrainIdentity, D1VolumeBitIdenticalAcrossGrainAndPool) {
@@ -575,7 +561,7 @@ TEST(ParallelGrainIdentity, MultiprocWaveForkingBitIdentical) {
 // bit-identical to the serial run — per-kind charged costs (bitwise
 // doubles), event counts, virtual time, utilization, vertices, peak
 // staging, slab allocations, final values, and the emitted op stream —
-// across Pool {1,2,4} × grain {off, 2, huge} × store {dense, hashmap}.
+// across Pool {1,2,4} × grain {off, 2, huge}.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -600,9 +586,9 @@ struct MpGrains {
   int64_t reloc, wave, exec;
 };
 
-/// Run the multiproc simulator under one (grains, store) config and
-/// return everything the determinism contract pins.
-template <int D, class Store, class V>
+/// Run the multiproc simulator under one grains config and return
+/// everything the determinism contract pins.
+template <int D, class V>
 MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
                         const machine::MachineSpec& host, int64_t s,
                         MpGrains grains, sim::FinalValues<D, V>& fin_out) {
@@ -614,7 +600,7 @@ MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
   cfg.reloc_grain = grains.reloc;
   cfg.wave_grain = grains.wave;
   cfg.metrics = &metrics;
-  auto res = sim::simulate_multiproc<D, V, Store>(g, host, cfg);
+  auto res = sim::simulate_multiproc<D, V>(g, host, cfg);
   sep::set_default_parallel_grain(saved);
 
   MpOutcome out;
@@ -650,10 +636,10 @@ void expect_mp_eq(const MpOutcome& a, const MpOutcome& b,
   EXPECT_EQ(a.allocs, b.allocs) << what << ": slab allocs";
 }
 
-/// The full matrix for one guest: serial dense reference vs every
-/// (grain combo, pool size) on both staging types. Grain combos turn
-/// each mechanism on alone and all together, plus a huge grain that
-/// must behave exactly like off.
+/// The full matrix for one guest: the serial reference vs every
+/// (grain combo, pool size). Grain combos turn each mechanism on alone
+/// and all together, plus a huge grain that must behave exactly like
+/// off.
 template <int D, class V>
 void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
                            const machine::MachineSpec& host, int64_t s) {
@@ -668,49 +654,26 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
   };
 
   sim::FinalValues<D, V> ref_fin;
-  auto ref = run_multiproc<D, sep::StagingStore<D, V>>(g, host, s, kOff,
-                                                       ref_fin);
+  auto ref = run_multiproc<D>(g, host, s, kOff, ref_fin);
+  // The serial run itself against the direct guest run.
+  EXPECT_TRUE(
+      sim::same_values<D>(ref_fin, sim::reference_run<D>(g).final_values));
 
   for (const MpGrains& gr : combos) {
     for (int threads : {1, 2, 4}) {
       engine::Pool pool(threads);
       auto bind = pool.bind_caller();
       sim::FinalValues<D, V> fin;
-      auto got =
-          run_multiproc<D, sep::StagingStore<D, V>>(g, host, s, gr, fin);
+      auto got = run_multiproc<D>(g, host, s, gr, fin);
       const std::string what =
-          "dense d=" + std::to_string(D) + " reloc=" +
-          std::to_string(gr.reloc) + " wave=" + std::to_string(gr.wave) +
+          "d=" + std::to_string(D) + " reloc=" + std::to_string(gr.reloc) +
+          " wave=" + std::to_string(gr.wave) +
           " exec=" + std::to_string(gr.exec) +
           " threads=" + std::to_string(threads);
       expect_mp_eq(ref, got, what);
       EXPECT_TRUE(sim::same_values<D>(ref_fin, fin)) << what;
     }
   }
-
-  // Hashmap staging through the same forks: the shard fall-through and
-  // merge must be store-agnostic (allocs are 0 on both sides).
-  sim::FinalValues<D, V> refm_fin;
-  auto refm = run_multiproc<D, sep::BasicValueMap<D, V>>(g, host, s, kOff,
-                                                         refm_fin);
-  for (int threads : {2, 4}) {
-    engine::Pool pool(threads);
-    auto bind = pool.bind_caller();
-    sim::FinalValues<D, V> fin;
-    auto got = run_multiproc<D, sep::BasicValueMap<D, V>>(
-        g, host, s, MpGrains{2, 2, 2}, fin);
-    const std::string what =
-        "map d=" + std::to_string(D) + " threads=" + std::to_string(threads);
-    expect_mp_eq(refm, got, what);
-    EXPECT_TRUE(sim::same_values<D>(refm_fin, fin)) << what;
-  }
-  // And the two staging types agree on everything but slab allocs
-  // (a hashmap never allocates level slabs).
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i)
-    EXPECT_EQ(ref.cost_bits[i], refm.cost_bits[i]) << "store-type drift";
-  EXPECT_EQ(ref.time_bits, refm.time_bits) << "store-type drift: time";
-  EXPECT_EQ(ref.peak, refm.peak) << "store-type drift: peak";
-  EXPECT_TRUE(sim::same_values<D>(ref_fin, refm_fin));
 }
 
 }  // namespace

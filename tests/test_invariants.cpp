@@ -31,8 +31,8 @@ TEST(Invariants, PeakStagingWithinSpaceBound2D) {
     exec.set_ledger(&ledger);
     auto p = geom::make_octahedron(&g.stencil, 16, -16, 16, -16, r);
     ASSERT_FALSE(p.empty());
-    sep::ValueMap<2> staging;
-    for (const auto& q : p.preboundary()) staging.emplace(q, 1);
+    sep::StagingStore<2> staging(&g.stencil);
+    for (const auto& q : p.preboundary()) staging.insert(q, 1);
     exec.execute(p, staging);
     EXPECT_LE(static_cast<double>(exec.peak_staging()),
               exec.space_bound(r))
@@ -141,7 +141,7 @@ TEST(Invariants, ExecutorChargesScaleWithAccessFn) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::TileGrid<1> grid(&g.stencil, 16);
-    sep::ValueMap<1> staging;
+    sep::StagingStore<1> staging(&g.stencil);
     for (const auto& wave : grid.wavefronts())
       for (const auto& t : wave) exec.execute(t, staging);
     return ledger.total() -

@@ -64,8 +64,8 @@ sep::Word tag(const Point<D>& q) {
 }
 
 /// Every vertex of the stencil's volume, tagged, in `store`.
-template <int D, class Store>
-void stage_volume(const Stencil<D>& st, Store& store) {
+template <int D>
+void stage_volume(const Stencil<D>& st, sep::StagingStore<D>& store) {
   const int64_t n = st.num_nodes();
   for (int64_t t = 0; t < st.horizon; ++t) {
     for (int64_t idx = 0; idx < n; ++idx) {
@@ -76,20 +76,21 @@ void stage_volume(const Stencil<D>& st, Store& store) {
         q.x[i] = rest % st.extent[i];
         rest /= st.extent[i];
       }
-      sep::store_insert(store, q, tag<D>(q));
+      store.insert(q, tag<D>(q));
     }
   }
 }
 
 /// Iteration visits exactly final_points, in order, and at(q) reads
 /// the value the store holds at q — from the dense row path
-/// (StagingStore) and the point path (ValueMap) alike.
+/// (StagingStore) and the point path (a run_schedule ValueMap) alike.
 template <int D>
 void expect_matches_store(const Stencil<D>& st) {
   sep::StagingStore<D> dense(&st);
-  sep::ValueMap<D> map;
   stage_volume<D>(st, dense);
-  stage_volume<D>(st, map);
+  sep::ValueMap<D> map;
+  dense.for_each(
+      [&map](const Point<D>& q, sep::Word v) { map.emplace(q, v); });
   const auto pts = sim::final_points<D>(st);
   const auto fin = sim::extract_final<D>(st, dense);
   ASSERT_EQ(fin.size(), pts.size());
@@ -97,13 +98,13 @@ void expect_matches_store(const Stencil<D>& st) {
   for (const auto& [q, v] : fin) {
     ASSERT_LT(i, pts.size());
     EXPECT_EQ(q, pts[i]) << "iteration order differs at " << i;
-    EXPECT_EQ(v, *sep::store_find(dense, q));
+    EXPECT_EQ(v, *dense.find(q));
     ++i;
   }
   EXPECT_EQ(i, pts.size());
   for (const auto& q : pts) {
     ASSERT_TRUE(fin.contains(q));
-    EXPECT_EQ(fin.at(q), *sep::store_find(dense, q));
+    EXPECT_EQ(fin.at(q), *dense.find(q));
   }
   EXPECT_EQ(sim::extract_final<D>(st, map), fin);
 }
@@ -171,7 +172,7 @@ TEST(ExtractFinal, MissingValueIsAnInvariantError) {
   // A dense row with one hole falls back to the point path and throws.
   sep::StagingStore<1> dense(&st);
   stage_volume<1>(st, dense);
-  sep::store_erase(dense, Point<1>{{2}, 3});
+  dense.erase(Point<1>{{2}, 3});
   EXPECT_THROW(sim::extract_final<1>(st, dense), bsmp::invariant_error);
 }
 

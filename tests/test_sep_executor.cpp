@@ -1,11 +1,13 @@
 // The Proposition-2 executor: functional correctness against the
 // direct guest run, runtime topological-partition assertions, space
-// bounds, and Proposition-3 cost conformance.
+// bounds, Proposition-3 cost conformance, and the leaf's charged event
+// counts against their closed form.
 #include <gtest/gtest.h>
 
 #include "geom/figures.hpp"
 #include "geom/tiling.hpp"
 #include "sep/executor.hpp"
+#include "sep/simd.hpp"
 #include "sim/observe.hpp"
 #include "sim/reference.hpp"
 #include "workload/rules.hpp"
@@ -13,7 +15,7 @@
 using namespace bsmp;
 using sep::Executor;
 using sep::ExecutorConfig;
-using sep::ValueMap;
+using sep::StagingStore;
 
 namespace {
 
@@ -31,7 +33,7 @@ void check_equivalence(sep::Guest<D> guest, int64_t tile_w, int64_t leaf_w) {
   exec.set_ledger(&ledger);
 
   geom::TileGrid<D> grid(&guest.stencil, tile_w);
-  ValueMap<D> staging;
+  StagingStore<D> staging(&guest.stencil);
   for (const auto& wave : grid.wavefronts())
     for (const auto& tile : wave) exec.execute(tile, staging);
 
@@ -113,9 +115,9 @@ TEST(Executor, PeakStagingWithinSpaceBound) {
     exec.set_ledger(&ledger);
     geom::Region<1> d = geom::make_diamond(&g.stencil, 16, -r / 2, r);
     ASSERT_FALSE(d.empty());
-    ValueMap<1> staging;
+    StagingStore<1> staging(&g.stencil);
     // Seed the preboundary with arbitrary values.
-    for (const auto& q : d.preboundary()) staging.emplace(q, 1);
+    for (const auto& q : d.preboundary()) staging.insert(q, 1);
     exec.execute(d, staging);
     EXPECT_LE(static_cast<double>(exec.peak_staging()),
               exec.space_bound(r))
@@ -138,8 +140,8 @@ TEST(Executor, CostWithinProposition3Bound) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::Region<1> d = geom::make_diamond(&g.stencil, 32, -r / 2, r);
-    ValueMap<1> staging;
-    for (const auto& q : d.preboundary()) staging.emplace(q, 1);
+    StagingStore<1> staging(&g.stencil);
+    for (const auto& q : d.preboundary()) staging.insert(q, 1);
     exec.execute(d, staging);
     double k = static_cast<double>(d.count());
     double norm = ledger.total() / (k * core::logbar(k));
@@ -164,7 +166,7 @@ TEST(Executor, LeafWidthDoesNotChangeValues) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::TileGrid<1> grid(&g.stencil, 8);
-    ValueMap<1> staging;
+    StagingStore<1> staging(&g.stencil);
     for (const auto& wave : grid.wavefronts())
       for (const auto& tile : wave) exec.execute(tile, staging);
     auto fin = sim::extract_final<1>(g.stencil, staging);
@@ -176,7 +178,7 @@ TEST(Executor, RequiresLedger) {
   auto g = workload::make_mix_guest<1>({4}, 4, 1, 1);
   Executor<1> exec(&g, ExecutorConfig{});
   geom::TileGrid<1> grid(&g.stencil, 4);
-  ValueMap<1> staging;
+  StagingStore<1> staging(&g.stencil);
   auto waves = grid.wavefronts();
   ASSERT_FALSE(waves.empty());
   ASSERT_FALSE(waves[0].empty());
@@ -184,7 +186,7 @@ TEST(Executor, RequiresLedger) {
 }
 
 TEST(Executor, MissingPreboundaryTriggersInvariantError) {
-  // Executing an interior diamond with an empty staging map must trip
+  // Executing an interior diamond with an empty staging store must trip
   // the runtime topological-partition assertion, not silently compute.
   auto g = workload::make_mix_guest<1>({16}, 16, 1, 3);
   ExecutorConfig cfg;
@@ -194,6 +196,94 @@ TEST(Executor, MissingPreboundaryTriggersInvariantError) {
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
   geom::Region<1> d = geom::make_diamond(&g.stencil, 8, -4, 8);
-  ValueMap<1> staging;  // missing Γin
+  StagingStore<1> staging(&g.stencil);  // missing Γin
   EXPECT_THROW(exec.execute(d, staging), bsmp::invariant_error);
+}
+
+// ---------------------------------------------------------------------
+// Closed-form leaf charges: the one oracle that shares no code with
+// sep::eval_vertex. A full-volume run charges one kCompute event per
+// vertex, and one kLocalAccess event per operand plus one for the
+// result: an input vertex (t = 0) reads one word, any other vertex its
+// self operand and its in-mesh neighbors. A level holds
+// Σ_i 2(e_i - 1)·N/e_i in-mesh neighbor pairs, so with N nodes and T
+// steps
+//   kCompute     = N·T,
+//   kLocalAccess = 2N + (T-1)·(2N + Σ_i 2(e_i - 1)·N/e_i).
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <int D>
+std::uint64_t closed_form_local_access(const geom::Stencil<D>& st) {
+  const std::uint64_t n = static_cast<std::uint64_t>(st.num_nodes());
+  std::uint64_t neighbors = 0;
+  for (int i = 0; i < D; ++i) {
+    const auto e = static_cast<std::uint64_t>(st.extent[i]);
+    neighbors += 2 * (e - 1) * (n / e);
+  }
+  const auto t = static_cast<std::uint64_t>(st.horizon);
+  return 2 * n + (t - 1) * (2 * n + neighbors);
+}
+
+/// Full-volume run with Theorem-3 leaves (width m): tiles as wide as
+/// the first extent, executed in TileGrid wavefronts — the drive of
+/// tables/hotpath.hpp — through `rule`.
+template <int D, class RuleFn>
+core::CostLedger full_volume_ledger(const sep::Guest<D>& g,
+                                    const RuleFn& rule) {
+  ExecutorConfig cfg;
+  cfg.leaf_width = g.stencil.m;
+  cfg.f = hram::AccessFn::unit();
+  Executor<D> exec(&g, cfg);
+  core::CostLedger ledger;
+  exec.set_ledger(&ledger);
+  StagingStore<D> staging(&g.stencil);
+  geom::TileGrid<D> grid(&g.stencil, g.stencil.extent[0]);
+  for (const auto& wave : grid.wavefronts())
+    for (const auto& tile : wave) exec.execute_with_rule(tile, staging, rule);
+  EXPECT_EQ(exec.vertices_executed(),
+            g.stencil.num_nodes() * g.stencil.horizon);
+  return ledger;
+}
+
+/// The guest's rule, and the MixKernel with its SIMD row path on and
+/// off, must all charge exactly the closed form.
+template <int D>
+void expect_closed_form_charges(std::array<int64_t, D> extent, int64_t T,
+                                int64_t m) {
+  auto g = workload::make_mix_guest<D>(extent, T, m, 41);
+  const auto compute =
+      static_cast<std::uint64_t>(g.stencil.num_nodes() * T);
+  const std::uint64_t local = closed_form_local_access(g.stencil);
+  const bool saved = sep::simd::enabled();
+  auto check = [&](const core::CostLedger& ledger, const char* path) {
+    EXPECT_EQ(ledger.events(core::CostKind::kCompute), compute)
+        << path << " T=" << T << " m=" << m;
+    EXPECT_EQ(ledger.events(core::CostKind::kLocalAccess), local)
+        << path << " T=" << T << " m=" << m;
+  };
+  check(full_volume_ledger(g, g.rule), "guest rule");
+  for (bool vector_path : {true, false}) {
+    sep::simd::set_enabled(vector_path);
+    check(full_volume_ledger(g, workload::MixKernel<D>{}),
+          vector_path ? "MixKernel simd" : "MixKernel scalar");
+  }
+  sep::simd::set_enabled(saved);
+}
+
+}  // namespace
+
+TEST(Executor, LeafChargesMatchClosedFormD1) {
+  geom::Stencil<1> hot{{512}, 512, 8};
+  EXPECT_EQ(closed_form_local_access(hot), 1046530u);
+  expect_closed_form_charges<1>({512}, 512, 8);
+  expect_closed_form_charges<1>({37}, 53, 3);
+}
+
+TEST(Executor, LeafChargesMatchClosedFormD2) {
+  geom::Stencil<2> hot{{48, 48}, 48, 4};
+  EXPECT_EQ(closed_form_local_access(hot), 645312u);
+  expect_closed_form_charges<2>({48, 48}, 48, 4);
+  expect_closed_form_charges<2>({9, 13}, 21, 2);
 }

@@ -10,8 +10,8 @@
 //     execute_with_rule with the vector path on equals both the
 //     forced-scalar run and the type-erased guest-rule run in every
 //     charged bit, event count, peak, slab count and final value,
-//     across d in {1,2} x store {dense, hashmap} x Pool {1,4} x fork
-//     grain {off, 4};
+//     across d in {1,2} x Pool {1,4} x fork grain {off, 4}, with the
+//     reference's values checked against the direct guest run;
 //   * fallback dispatch: simd::set_enabled(false) reports the scalar
 //     ISA and single-lane width, and the SoA lift (simd::soa_rule)
 //     equals sep::broadcast_rule lane for lane either way.
@@ -29,6 +29,7 @@
 #include "sep/simd.hpp"
 #include "sep/staging.hpp"
 #include "sim/observe.hpp"
+#include "sim/reference.hpp"
 #include "workload/rules.hpp"
 
 using namespace bsmp;
@@ -102,9 +103,10 @@ struct Outcome {
 /// Drive the guest over the full volume through execute_with_rule, so
 /// a concrete kernel (or the guest's type-erased rule) can be swapped
 /// in while everything else stays the wavefront loop of the sims.
-template <int D, class Store, class RuleFn>
-Outcome<D> drive(const sep::Guest<D>& g, Store& staging, std::int64_t tile,
-                 std::int64_t leaf, std::int64_t grain, const RuleFn& rule) {
+template <int D, class RuleFn>
+Outcome<D> drive(const sep::Guest<D>& g, sep::StagingStore<D>& staging,
+                 std::int64_t tile, std::int64_t leaf, std::int64_t grain,
+                 const RuleFn& rule) {
   sep::ExecutorConfig cfg;
   cfg.leaf_width = leaf;
   cfg.f = hram::AccessFn::hierarchical(D, 4.0);
@@ -125,7 +127,7 @@ Outcome<D> drive(const sep::Guest<D>& g, Store& staging, std::int64_t tile,
   }
   out.vertices = exec.vertices_executed();
   out.peak = exec.peak_staging();
-  out.allocs = sep::store_level_allocs(staging);
+  out.allocs = staging.level_allocs();
   out.fin = sim::extract_final<D>(g.stencil, staging);
   return out;
 }
@@ -145,8 +147,8 @@ void expect_same_outcome(const Outcome<D>& got, const Outcome<D>& want,
       << what << ": final values diverged";
 }
 
-/// The d x store x Pool x grain differential for one kernel: SIMD on
-/// == SIMD off == type-erased rule, in every pinned field.
+/// The d x Pool x grain differential for one kernel: SIMD on == SIMD
+/// off == type-erased rule, in every pinned field.
 template <int D, class Kernel>
 void run_differential(const sep::Guest<D>& g, Kernel kernel,
                       std::int64_t tile, std::int64_t leaf,
@@ -157,30 +159,23 @@ void run_differential(const sep::Guest<D>& g, Kernel kernel,
   sep::simd::set_enabled(false);
   sep::StagingStore<D> ref_staging(&g.stencil);
   Outcome<D> ref = drive<D>(g, ref_staging, tile, leaf, 0, g.rule);
+  EXPECT_TRUE(
+      sim::same_values<D>(ref.fin, sim::reference_run<D>(g).final_values))
+      << what << ": reference diverged from the direct guest run";
 
   for (bool vector_path : {true, false}) {
     sep::simd::set_enabled(vector_path);
-    for (bool dense : {true, false}) {
-      for (std::int64_t grain : {std::int64_t{0}, std::int64_t{4}}) {
-        for (int threads : {1, 4}) {
-          engine::Pool pool(threads);
-          auto bind = pool.bind_caller();
-          const std::string label =
-              what + (vector_path ? " simd" : " scalar") +
-              (dense ? " dense" : " hashmap") + " grain=" +
-              std::to_string(grain) + " threads=" + std::to_string(threads);
-          Outcome<D> got;
-          if (dense) {
-            sep::StagingStore<D> staging(&g.stencil);
-            got = drive<D>(g, staging, tile, leaf, grain, kernel);
-          } else {
-            sep::ValueMap<D> staging;
-            got = drive<D>(g, staging, tile, leaf, grain, kernel);
-          }
-          auto want = ref;
-          if (!dense) want.allocs = 0;
-          expect_same_outcome<D>(got, want, label);
-        }
+    for (std::int64_t grain : {std::int64_t{0}, std::int64_t{4}}) {
+      for (int threads : {1, 4}) {
+        engine::Pool pool(threads);
+        auto bind = pool.bind_caller();
+        const std::string label =
+            what + (vector_path ? " simd" : " scalar") +
+            " grain=" + std::to_string(grain) +
+            " threads=" + std::to_string(threads);
+        sep::StagingStore<D> staging(&g.stencil);
+        expect_same_outcome<D>(
+            drive<D>(g, staging, tile, leaf, grain, kernel), ref, label);
       }
     }
   }
@@ -266,7 +261,7 @@ TEST(SimdKernels, DisabledSwitchReportsScalarDispatch) {
 }
 
 // ---------------------------------------------------------------------
-// Full-volume executor differential: d x store x Pool x grain, with
+// Full-volume executor differential: d x Pool x grain, with
 // the vector path on and off, against the type-erased reference.
 // ---------------------------------------------------------------------
 

@@ -170,6 +170,63 @@ TEST(Json, RejectsMalformedDocumentsWithPosition) {
   EXPECT_NE(p.error.find("2:"), std::string::npos) << p.error;
 }
 
+TEST(Json, NumbersFollowRfc8259) {
+  for (const char* ok : {"0", "-0", "12", "-3.25", "0.5", "1e5", "1E+2",
+                         "2.5e-3", "-0.0e0"})
+    EXPECT_TRUE(json::parse(ok).ok) << ok;
+  for (const char* bad : {".5", "+1", "01", "-01", "00", "1.", "1.e3", "1e",
+                          "1e+", "-", "--1", "-.5", "Infinity", "NaN"}) {
+    auto p = json::parse(bad);
+    ASSERT_FALSE(p.ok) << bad;
+    EXPECT_NE(p.error.find("invalid number at 1:1"), std::string::npos)
+        << bad << ": " << p.error;
+  }
+  // The error points at the offending number inside a document.
+  auto p = json::parse(R"({"a": .5, "b": +1, "c": 01})");
+  ASSERT_FALSE(p.ok);
+  EXPECT_NE(p.error.find("invalid number at 1:7"), std::string::npos)
+      << p.error;
+  for (const char* doc : {R"({"b": +1})", R"({"c": 01})"}) {
+    auto q = json::parse(doc);
+    ASSERT_FALSE(q.ok) << doc;
+    EXPECT_NE(q.error.find("invalid number at 1:7"), std::string::npos)
+        << doc << ": " << q.error;
+  }
+}
+
+TEST(Json, DeepNestingFailsCleanly) {
+  // Recursion is capped: 200,000 open brackets are refused at the
+  // 513th level instead of overflowing the stack.
+  auto p = json::parse(std::string(200000, '['));
+  ASSERT_FALSE(p.ok);
+  EXPECT_NE(p.error.find("nesting too deep at 1:513"), std::string::npos)
+      << p.error;
+  auto objs = json::parse(std::string(100000, '{'));
+  ASSERT_FALSE(objs.ok);
+  // 512 levels still parse; 513 do not, arrays or objects alike.
+  EXPECT_TRUE(
+      json::parse(std::string(512, '[') + std::string(512, ']')).ok);
+  EXPECT_FALSE(
+      json::parse(std::string(513, '[') + std::string(513, ']')).ok);
+  std::string obj;
+  for (int i = 0; i < 512; ++i) obj += R"({"k":)";
+  obj += '1';
+  obj.append(512, '}');
+  EXPECT_TRUE(json::parse(obj).ok);
+}
+
+TEST(Json, CommittedArtifactsParse) {
+  // Every committed bench/ baseline and the tolerance spec stay valid
+  // under the strict grammar.
+  for (const char* name :
+       {"BENCH_exec_batch.json", "BENCH_exec_hotpath.json",
+        "BENCH_exec_parallel.json", "BENCH_sim_scaling.json",
+        "BENCH_sweep_throughput.json", "tolerances.json"}) {
+    auto p = json::parse_file(std::string(BSMP_BENCH_DIR) + "/" + name);
+    EXPECT_TRUE(p.ok) << p.error;
+  }
+}
+
 TEST(Json, ParseFileReportsIoErrors) {
   EXPECT_FALSE(json::parse_file("/nonexistent/x.json").ok);
 }
@@ -343,6 +400,26 @@ TEST(StatFit, RefusesArtifactsWithoutCalibrationPoints) {
 }
 
 // ---- CLI surface ---------------------------------------------------
+
+TEST(StatCli, MalformedArtifactsAreExitTwo) {
+  // A truncated artifact and a hostile deeply nested one are refused
+  // with the usage/file exit code, not a crash.
+  auto good = metrics_doc("boxA", 8, 1);
+  auto truncated =
+      write_file("truncated.json", good.substr(0, good.size() / 2));
+  auto deep = write_file("deep.json", std::string(200000, '['));
+  auto number = write_file("number.json", R"({"a": .5, "b": +1, "c": 01})");
+  const std::pair<std::string, const char*> cases[] = {
+      {truncated, ""},  // whichever token the cut lands in
+      {deep, "nesting too deep"},
+      {number, "invalid number"}};
+  for (const auto& [path, why] : cases) {
+    std::string out, err;
+    EXPECT_EQ(cli({"show", path}, &out, &err), stat::kExitUsage) << path;
+    EXPECT_FALSE(err.empty()) << path;
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+  }
+}
 
 TEST(StatCli, UsageAndMissingFilesAreExitTwo) {
   std::string out, err;
