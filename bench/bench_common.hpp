@@ -10,7 +10,7 @@
 //      PlanCache hit rate;
 //   3. serializes both passes' engine metrics (per-point wall clock and
 //      queue wait, per-sweep occupancy, cache hits/misses/builds,
-//      per-phase duration histograms, run manifest) as
+//      calibration points, run manifest) as
 //      `metrics_<emitter>.json` under $BSMP_METRICS_DIR (default
 //      ./metrics/) — the recorded threads=1 vs threads=N story CI
 //      uploads as an artifact. With tracing on (BSMP_TRACE=1) each
@@ -30,7 +30,6 @@
 
 #include "analytic/tradeoff.hpp"
 #include "core/table.hpp"
-#include "engine/attribution.hpp"
 #include "engine/metrics.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/pool.hpp"
@@ -66,14 +65,8 @@ inline EmitterPass run_pass(const tables::Emitter& emitter, int threads) {
   engine::PlanCache plans;
   engine::Metrics metrics;
   tables::EngineCtx ctx{&pool, &plans, &metrics};
-  // The trace recorder and the arena are process-global; the pass's
-  // histogram and "mem" blocks are the deltas across the pass, and the
-  // attribution fold covers the spans that *started* during it (the
-  // mark below scopes the fold — attribution is not delta-subtractable
-  // the way the histograms are).
-  const engine::trace::HistSnapshot hist_before =
-      engine::trace::hist_snapshot();
-  const std::uint64_t trace_mark = engine::trace::mark();
+  // The arena is process-global; the pass's "mem" block is the delta
+  // across the pass.
   const engine::ArenaStats mem_before = engine::Arena::instance().stats();
   auto t0 = std::chrono::steady_clock::now();
   EmitterPass pass;
@@ -87,9 +80,6 @@ inline EmitterPass run_pass(const tables::Emitter& emitter, int threads) {
   pass.metrics.hot = metrics.hot_snapshot();
   pass.metrics.tasks = pool.task_stats();
   pass.metrics.mem = engine::Arena::instance().stats() - mem_before;
-  pass.metrics.histograms = engine::trace::hist_snapshot();
-  pass.metrics.histograms -= hist_before;
-  pass.metrics.attribution = engine::fold_attribution_since(trace_mark);
   pass.metrics.calibration = metrics.calibration_snapshot();
   return pass;
 }

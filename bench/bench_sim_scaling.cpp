@@ -157,13 +157,10 @@ void check_identical(const char* what, const char* mode,
 }
 
 /// One timed pass for the metrics report: wall clock, task counters
-/// (with the per-mechanism phases split), hot records, and the
-/// span-histogram delta across the pass.
+/// (with the per-mechanism phases split) and hot records.
 template <class Fn>
 engine::MetricsPass timed_pass(int threads, engine::Metrics& sink,
                                engine::Pool* pool, Fn&& body) {
-  const engine::trace::HistSnapshot hist_before =
-      engine::trace::hist_snapshot();
   if (pool != nullptr) pool->reset_task_stats();
   engine::MetricsPass pass;
   pass.threads = threads;
@@ -174,8 +171,6 @@ engine::MetricsPass timed_pass(int threads, engine::Metrics& sink,
           .count();
   if (pool != nullptr) pass.tasks = pool->task_stats();
   pass.hot = sink.hot_snapshot();
-  pass.histograms = engine::trace::hist_snapshot();
-  pass.histograms -= hist_before;
   sink.clear();
   return pass;
 }

@@ -118,7 +118,7 @@ class Calibration {
 };
 
 /// Per-mechanism, per-range calibration: the alternative fit the
-/// metrics-v3 attribution data enables.
+/// ledger-derived calibration points of a metrics artifact enable.
 ///
 /// Calibration above solves one coupled 3-constant least-squares
 /// problem against *total* slowdowns; when one mechanism dominates the

@@ -120,23 +120,10 @@ void json_tasks(std::ostream& os, const TaskStats& t) {
   os << "}";
 }
 
-// Sparse [bucket, count] pairs; empty histograms serialize as [].
-void json_hist(std::ostream& os,
-               const std::array<std::uint64_t, trace::kHistBuckets>& h) {
-  os << "[";
-  bool first = true;
-  for (int b = 0; b < trace::kHistBuckets; ++b) {
-    if (h[b] == 0) continue;
-    os << (first ? "" : ", ") << "[" << b << ", " << h[b] << "]";
-    first = false;
-  }
-  os << "]";
-}
-
 }  // namespace
 
 void MetricsReport::write_json(std::ostream& os) const {
-  os << "{\n  \"schema\": \"bsmp-metrics-v3\",\n  \"name\": ";
+  os << "{\n  \"schema\": \"bsmp-metrics-v4\",\n  \"name\": ";
   json_string(os, name);
   os << ",\n  \"speedup\": ";
   json_real(os, speedup());
@@ -243,95 +230,33 @@ void MetricsReport::write_json(std::ostream& os) const {
       os << "\n        }";
     }
     os << (pass.hot.empty() ? "]" : "\n      ]");
-    if (!pass.histograms.empty()) {
-      os << ",\n      \"histograms\": {\n        \"spans\": {";
-      bool first_cat = true;
-      for (int c = 0; c < trace::kNumCats; ++c) {
-        bool any = false;
-        for (auto n : pass.histograms.span_ns[static_cast<std::size_t>(c)])
-          if (n != 0) any = true;
-        if (!any) continue;
-        os << (first_cat ? "" : ", ");
-        json_string(os, trace::cat_name(static_cast<trace::Cat>(c)));
-        os << ": ";
-        json_hist(os, pass.histograms.span_ns[static_cast<std::size_t>(c)]);
-        first_cat = false;
-      }
-      os << "},\n        \"steal_latency_ns\": ";
-      json_hist(os, pass.histograms.steal_latency_ns);
-      os << "\n      }";
-    }
-    if (!pass.attribution.empty() || !pass.calibration.empty()) {
-      const Attribution& at = pass.attribution;
-      os << ",\n      \"attribution\": {\n        \"trusted\": "
-         << (at.trusted() ? 1 : 0) << ", \"dropped\": " << at.dropped
-         << ", \"spans\": " << at.spans
-         << ",\n        \"total_self_ns\": " << at.total_self_ns
-         << ", \"critical_path_ns\": " << at.critical_path_ns
-         << ",\n        \"mechanisms\": {";
-      bool first_m = true;
-      for (std::size_t i = 0; i < kNumMechanisms; ++i) {
-        const MechanismSlice& sl = at.mechanism[i];
-        if (sl.spans == 0 && sl.self_ns == 0) continue;
-        os << (first_m ? "" : ", ");
-        json_string(os, mechanism_name(static_cast<Mechanism>(i)));
-        os << ": {\"self_ns\": " << sl.self_ns << ", \"spans\": " << sl.spans
-           << "}";
-        first_m = false;
-      }
-      os << "},\n        \"phases\": {";
-      bool first_p = true;
-      for (std::size_t pj = 0; pj < kNumForkPhases; ++pj) {
-        bool any = false;
-        for (auto v : at.phase[pj])
-          if (v != 0) any = true;
-        if (!any) continue;
-        os << (first_p ? "" : ", ");
-        json_string(os, fork_phase_name(static_cast<ForkPhase>(pj)));
-        os << ": {";
-        bool first_c = true;
-        for (std::size_t i = 0; i < kNumMechanisms; ++i) {
-          if (at.phase[pj][i] == 0) continue;
-          os << (first_c ? "" : ", ");
-          json_string(os, mechanism_name(static_cast<Mechanism>(i)));
-          os << ": " << at.phase[pj][i];
-          first_c = false;
-        }
-        os << "}";
-        first_p = false;
-      }
+    os << ",\n      \"calibration_points\": [";
+    for (std::size_t ci = 0; ci < pass.calibration.size(); ++ci) {
+      const CalibrationSample& cs = pass.calibration[ci];
+      os << (ci ? ",\n        {" : "\n        {");
+      os << "\"n\": " << cs.n << ", \"m\": " << cs.m << ", \"p\": " << cs.p
+         << ", \"s\": ";
+      json_real(os, cs.s);
+      os << ", \"range\": ";
+      json_string(os, cs.range);
+      os << ", \"holdout\": " << (cs.holdout ? 1 : 0)
+         << ",\n         \"slowdown\": ";
+      json_real(os, cs.slowdown);
+      os << ", \"slow_reloc\": ";
+      json_real(os, cs.slow_reloc);
+      os << ", \"slow_exec\": ";
+      json_real(os, cs.slow_exec);
+      os << ", \"slow_comm\": ";
+      json_real(os, cs.slow_comm);
+      os << ",\n         \"term_reloc\": ";
+      json_real(os, cs.term_reloc);
+      os << ", \"term_exec\": ";
+      json_real(os, cs.term_exec);
+      os << ", \"term_comm\": ";
+      json_real(os, cs.term_comm);
       os << "}";
-      if (!pass.calibration.empty()) {
-        os << ",\n        \"calibration_points\": [";
-        for (std::size_t ci = 0; ci < pass.calibration.size(); ++ci) {
-          const CalibrationSample& cs = pass.calibration[ci];
-          os << (ci ? ",\n          {" : "\n          {");
-          os << "\"n\": " << cs.n << ", \"m\": " << cs.m
-             << ", \"p\": " << cs.p << ", \"s\": ";
-          json_real(os, cs.s);
-          os << ", \"range\": ";
-          json_string(os, cs.range);
-          os << ", \"holdout\": " << (cs.holdout ? 1 : 0)
-             << ",\n           \"slowdown\": ";
-          json_real(os, cs.slowdown);
-          os << ", \"slow_reloc\": ";
-          json_real(os, cs.slow_reloc);
-          os << ", \"slow_exec\": ";
-          json_real(os, cs.slow_exec);
-          os << ", \"slow_comm\": ";
-          json_real(os, cs.slow_comm);
-          os << ",\n           \"term_reloc\": ";
-          json_real(os, cs.term_reloc);
-          os << ", \"term_exec\": ";
-          json_real(os, cs.term_exec);
-          os << ", \"term_comm\": ";
-          json_real(os, cs.term_comm);
-          os << "}";
-        }
-        os << "\n        ]";
-      }
-      os << "\n      }";
     }
+    os << (pass.calibration.empty() ? "]" : "\n      ]");
     os << "\n    }";
   }
   os << (passes.empty() ? "]" : "\n  ]") << "\n}\n";

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "engine/arena.hpp"
-#include "engine/attribution.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/task.hpp"
 #include "engine/trace.hpp"
@@ -93,8 +92,8 @@ struct HotPathMetric {
 };
 
 /// One calibration-grid point's measured per-mechanism decomposition,
-/// recorded by tables::calibration and serialized into the metrics-v3
-/// `attribution.calibration_points` array so `bsmp-stat fit` can
+/// recorded by tables::calibration and serialized into the per-pass
+/// `calibration_points` array (metrics-v4) so `bsmp-stat fit` can
 /// derive per-mechanism constants from the artifact alone. The slow_*
 /// fields split the measured slowdown by the virtual-time cost ledger
 /// (slow_k = slowdown * cost_k / sum of mechanism costs); the term_*
@@ -168,16 +167,8 @@ struct MetricsPass {
   ArenaStats mem;
   std::vector<SweepMetric> sweeps;  ///< every sweep the pass ran
   std::vector<HotPathMetric> hot;   ///< executor hot-path sections
-  /// Per-phase span-duration and steal-latency histograms of the pass
-  /// (engine::trace delta across the pass); all-zero when tracing is
-  /// compiled out or disabled.
-  trace::HistSnapshot histograms;
-  /// Per-mechanism wall-clock self-time fold of the pass's trace spans
-  /// (metrics-v3 `attribution`); empty when tracing is off.
-  Attribution attribution;
   /// Calibration-grid per-mechanism decompositions recorded during the
-  /// pass (metrics-v3 `attribution.calibration_points`); empty for
-  /// non-calibration emitters.
+  /// pass (`calibration_points`); empty for non-calibration emitters.
   std::vector<CalibrationSample> calibration;
 };
 
@@ -186,7 +177,7 @@ struct MetricsPass {
 /// Schema (stable, versioned by the "schema" field):
 ///
 /// {
-///   "schema": "bsmp-metrics-v3",
+///   "schema": "bsmp-metrics-v4",
 ///   "name": "e6d",
 ///   "speedup": 1.02,
 ///   "manifest": { "name": "e6d", "git_sha": "6bd49c5...",
@@ -214,58 +205,40 @@ struct MetricsPass {
 ///           "peak_staging_words": 1536, "staging_allocs": 514,
 ///           "lanes": 1, "scenarios_per_sec": 5242880,
 ///           "simd_isa": "scalar", "simd_lanes": 1 } ],
-///       "histograms": {
-///         "spans": { "sep-region": [[12, 3], [13, 41]], ... },
-///         "steal_latency_ns": [[10, 7], [11, 2]] },
-///       "attribution": {
-///         "trusted": 1, "dropped": 0, "spans": 412,
-///         "total_self_ns": 81234567, "critical_path_ns": 23456789,
-///         "mechanisms": {
-///           "compute": {"self_ns": 61234567, "spans": 380},
-///           "relocation": {"self_ns": 9123456, "spans": 12}, ... },
-///         "phases": {
-///           "none": {"compute": 1234, ...},
-///           "regime1-relocate": {"relocation": 9123456, ...}, ... },
-///         "calibration_points": [
-///           { "n": 64, "m": 4, "p": 4, "s": 16, "range": "2",
-///             "holdout": 0, "slowdown": 81.2, "slow_reloc": 11.0,
-///             "slow_exec": 66.1, "slow_comm": 4.1,
-///             "term_reloc": 0.12, "term_exec": 0.88,
-///             "term_comm": 0.04 } ] } } ]
+///       "calibration_points": [
+///         { "n": 64, "m": 4, "p": 4, "s": 16, "range": "2",
+///           "holdout": 0, "slowdown": 81.2, "slow_reloc": 11.0,
+///           "slow_exec": 66.1, "slow_comm": 4.1,
+///           "term_reloc": 0.12, "term_exec": 0.88,
+///           "term_comm": 0.04 } ] } ]
 /// }
 ///
-/// v3 is a strict superset of bsmp-metrics-v2, which is a strict
-/// superset of v1: every earlier field keeps its name, position and
-/// meaning (pinned by the compat tests in tests/test_metrics.cpp).
+/// Every field below keeps the name, position and meaning it had in
+/// the version that introduced it (pinned by tests/test_metrics.cpp).
+/// v4 changes over v3:
+///   * per-pass "calibration_points" — the calibration-grid samples
+///     (the `cal` emitter) that v3 nested inside its span-fold block,
+///     now a sibling of "hot" ([] for every other emitter): the
+///     per-grid-point per-mechanism slowdown decomposition
+///     `bsmp-stat fit` trains on. Ledger-derived, so deterministic.
+///   * dropped: the two span-derived per-pass blocks — v2's
+///     "histograms" (span durations per trace category and the steal
+///     latency) and v3's per-mechanism wall-clock fold of the trace
+///     spans with its critical path (doc/ENGINE.md lists both). They
+///     existed only under BSMP_TRACE=1; the trace file keeps the
+///     timeline, and the manifest's "trace_dropped" still flags
+///     truncation.
 /// v3 additions:
 ///   * manifest "num_cpus", "hostname", "simd_isa" — the hardware
 ///     identity of the producing host ("num_cpus" mirrors
 ///     "hardware_threads" under google-benchmark's name for it), so
 ///     `bsmp-stat diff` refuses cross-hardware comparisons.
-///   * per-pass "attribution" — the per-mechanism wall-clock self-time
-///     fold of the pass's trace spans (engine/attribution.hpp):
-///     "mechanisms" maps mechanism name -> {"self_ns", "spans"}
-///     (additive: self_ns sums to "total_self_ns"), "phases" maps
-///     engine::ForkPhase name -> per-mechanism self-time of spans
-///     under that phase, "critical_path_ns" is the max-duration
-///     non-overlapping span chain, "trusted" is 0 when the recorder
-///     dropped events during the pass (timeline truncated — consumers
-///     must not gate on the numbers), and "calibration_points" (for
-///     the `cal` emitter) carries the per-grid-point per-mechanism
-///     slowdown decomposition `bsmp-stat fit` trains on. Mechanisms
-///     with no spans and all-zero phase rows are omitted; the block
-///     itself is omitted when the pass recorded no spans and no
-///     calibration points.
 /// v2 additions over v1:
 ///   * "manifest" — the run's provenance (engine::trace::RunManifest):
 ///     git SHA, build type, compiler, hardware threads, the tracing
 ///     state, and every BSMP_* env knob that shaped the run.
 ///   * per-sweep "tasks" — the fork-join counter delta of that sweep
 ///     alone, so a multi-sweep pass attributes its forks.
-///   * per-pass "histograms" — log2-bucketed span-duration counts per
-///     trace category plus the steal-latency histogram, as sparse
-///     [bucket, count] pairs (bucket b covers [2^(b-1), 2^b) ns).
-///     Omitted when tracing recorded nothing during the pass.
 ///   * per-hot "lanes" and "scenarios_per_sec" — the scenario lanes a
 ///     batched guest carried per charged vertex (1 for scalar runs)
 ///     and the derived lanes * vertices_per_sec throughput.

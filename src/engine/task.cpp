@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/expect.hpp"
+#include "engine/trace.hpp"
 
 namespace bsmp::engine {
 
@@ -34,14 +35,6 @@ const char* fork_phase_name(ForkPhase p) {
       break;
   }
   return "none";
-}
-
-ForkPhase fork_phase_from_name(std::string_view name) {
-  for (std::size_t i = 1; i < kNumForkPhases; ++i) {
-    auto p = static_cast<ForkPhase>(i);
-    if (name == fork_phase_name(p)) return p;
-  }
-  return ForkPhase::kNone;
 }
 
 TaskScheduler::Bind::Bind(TaskScheduler* sched, int slot)
@@ -121,15 +114,9 @@ bool TaskScheduler::try_acquire(int slot, Task& out) {
     }
     steal_ops_.fetch_add(1, std::memory_order_relaxed);
     stolen_.fetch_add(batch.size(), std::memory_order_relaxed);
-#if BSMP_TRACE_ENABLED
-    if (trace::enabled()) {
-      trace::instant(trace::Cat::kTask, "steal",
-                     static_cast<std::int64_t>(batch.size()),
-                     static_cast<std::int64_t>(v));
-      if (batch.front().enq_ns != 0)
-        trace::steal_latency(trace::detail::now_ns() - batch.front().enq_ns);
-    }
-#endif
+    trace::instant(trace::Cat::kTask, "steal",
+                   static_cast<std::int64_t>(batch.size()),
+                   static_cast<std::int64_t>(v));
     // Execute the oldest; the rest go to the thief's own deque. Their
     // pending_ count carries over — only the executed task leaves the
     // queued state here.
@@ -256,15 +243,8 @@ void TaskScope::fork(std::function<void()> fn) {
   sched_->spawned_.fetch_add(1, std::memory_order_relaxed);
   sched_->phase_[static_cast<std::size_t>(phase_)].spawned.fetch_add(
       1, std::memory_order_relaxed);
-  TaskScheduler::Task t{std::move(fn), this, index};
-#if BSMP_TRACE_ENABLED
-  if (trace::enabled()) {
-    t.enq_ns = trace::detail::now_ns();
-    trace::instant(trace::Cat::kTask, "fork",
-                   static_cast<std::int64_t>(index));
-  }
-#endif
-  sched_->push(slot_, std::move(t));
+  trace::instant(trace::Cat::kTask, "fork", static_cast<std::int64_t>(index));
+  sched_->push(slot_, TaskScheduler::Task{std::move(fn), this, index});
 }
 
 void TaskScope::join() {

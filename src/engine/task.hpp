@@ -40,11 +40,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
-
-#include "engine/trace.hpp"
 
 namespace bsmp::engine {
 
@@ -70,10 +67,6 @@ inline constexpr std::size_t kNumForkPhases =
 /// Stable name of a phase, matching the trace span names where one
 /// exists ("machine-tile", "regime1-relocate", ...).
 const char* fork_phase_name(ForkPhase p);
-
-/// Inverse of fork_phase_name, for the attribution fold's span-name ->
-/// phase classification. kNone for names no phase claims.
-ForkPhase fork_phase_from_name(std::string_view name);
 
 /// Per-phase slice of the task counters (metrics-v2 `tasks.phases`).
 struct PhaseTaskStats {
@@ -192,9 +185,6 @@ class TaskScheduler {
     std::function<void()> fn;
     TaskScope* scope = nullptr;
     std::size_t index = 0;
-#if BSMP_TRACE_ENABLED
-    std::uint64_t enq_ns = 0;  ///< push time, for the steal-latency histogram
-#endif
   };
 
   struct Slot {

@@ -35,34 +35,6 @@ const char* cat_name(Cat c) {
   return "?";
 }
 
-int duration_bucket(std::uint64_t ns) {
-  int b = 0;
-  while (ns != 0) {
-    ns >>= 1;
-    ++b;
-  }
-  // 0 ns -> 0; [2^(b-1), 2^b) -> b; top bucket absorbs the tail so the
-  // histogram index never escapes the array.
-  return b < kHistBuckets ? b : kHistBuckets - 1;
-}
-
-HistSnapshot& HistSnapshot::operator-=(const HistSnapshot& o) {
-  for (int c = 0; c < kNumCats; ++c)
-    for (int b = 0; b < kHistBuckets; ++b) span_ns[c][b] -= o.span_ns[c][b];
-  for (int b = 0; b < kHistBuckets; ++b)
-    steal_latency_ns[b] -= o.steal_latency_ns[b];
-  return *this;
-}
-
-bool HistSnapshot::empty() const {
-  for (int c = 0; c < kNumCats; ++c)
-    for (auto v : span_ns[c])
-      if (v != 0) return false;
-  for (auto v : steal_latency_ns)
-    if (v != 0) return false;
-  return true;
-}
-
 namespace {
 
 std::string env_or(const char* name, const char* fallback) {
@@ -143,7 +115,6 @@ struct ThreadBuf {
   std::size_t cap;
   std::vector<Ev> ev;  // grows up to cap, then `dropped` counts
   std::uint64_t dropped = 0;
-  HistSnapshot hist;
 };
 
 struct Registry {
@@ -189,10 +160,6 @@ void record(Cat cat, char ph, const char* name, std::uint64_t t0,
             std::uint64_t dur, std::int64_t a0, std::int64_t a1,
             const char* detail, std::size_t detail_len) {
   ThreadBuf& b = local_buf();
-  // Histograms count every span, even when the timeline is full — the
-  // metrics v2 histogram blocks stay exact under event drops.
-  if (ph == 'X')
-    ++b.hist.span_ns[static_cast<int>(cat)][duration_bucket(dur)];
   if (b.ev.size() >= b.cap) {
     ++b.dropped;
     return;
@@ -209,10 +176,6 @@ void record(Cat cat, char ph, const char* name, std::uint64_t t0,
       detail_len < sizeof e.detail ? detail_len : sizeof e.detail);
   if (e.dlen != 0) std::memcpy(e.detail, detail, e.dlen);
   b.ev.push_back(e);
-}
-
-void record_steal_latency(std::uint64_t ns) {
-  ++local_buf().hist.steal_latency_ns[duration_bucket(ns)];
 }
 
 }  // namespace detail
@@ -243,20 +206,6 @@ std::vector<SpanRec> snapshot() {
   return out;
 }
 
-HistSnapshot hist_snapshot() {
-  HistSnapshot sum;
-  detail::Registry& r = detail::registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  for (const auto& b : r.bufs) {
-    for (int c = 0; c < kNumCats; ++c)
-      for (int k = 0; k < kHistBuckets; ++k)
-        sum.span_ns[c][k] += b->hist.span_ns[c][k];
-    for (int k = 0; k < kHistBuckets; ++k)
-      sum.steal_latency_ns[k] += b->hist.steal_latency_ns[k];
-  }
-  return sum;
-}
-
 std::uint64_t events_recorded() {
   detail::Registry& r = detail::registry();
   std::lock_guard<std::mutex> lk(r.mu);
@@ -272,8 +221,6 @@ std::uint64_t dropped() {
   for (const auto& b : r.bufs) n += b->dropped;
   return n;
 }
-
-std::uint64_t mark() { return detail::now_ns(); }
 
 std::uint64_t digest() {
   detail::Registry& r = detail::registry();
@@ -304,7 +251,6 @@ void clear() {
   for (auto& b : bufs) {
     b->ev.clear();
     b->dropped = 0;
-    b->hist = HistSnapshot{};
   }
   // Buffers only the registry still references belong to exited
   // threads: release their memory (tids are not reused; new threads
@@ -319,10 +265,8 @@ void clear() {
 #else  // !BSMP_TRACE_ENABLED
 
 std::vector<SpanRec> snapshot() { return {}; }
-HistSnapshot hist_snapshot() { return {}; }
 std::uint64_t events_recorded() { return 0; }
 std::uint64_t dropped() { return 0; }
-std::uint64_t mark() { return 0; }
 std::uint64_t digest() { return 0; }
 void clear() {}
 

@@ -9,8 +9,8 @@
 //
 // Design constraints, in order:
 //   * compile-time no-op: with the BSMP_TRACE CMake option off,
-//     Span/instant()/steal_latency() compile to nothing and the
-//     instrumented code is byte-identical to the uninstrumented build;
+//     Span/instant() compile to nothing and the instrumented code is
+//     byte-identical to the uninstrumented build;
 //   * no locks on the hot path: each thread records into its own
 //     buffer (registered once, under a mutex, on the thread's first
 //     span); a span is one clock read at construction and one
@@ -19,21 +19,19 @@
 //     no buffer is allocated) unless the BSMP_TRACE environment
 //     variable — or set_enabled(true) — turns the recorder on;
 //   * bounded memory: a full per-thread buffer counts drops instead of
-//     growing; the duration histograms keep counting either way, so
-//     the histogram blocks of the metrics v2 artifact are exact even
-//     when the event timeline is truncated.
+//     growing; the run manifest reports the drop count, so a truncated
+//     timeline is visible in every artifact.
 //
 // Flushing: write_chrome_json() emits the Chrome trace-event format
 // (one B/E pair per span, per-thread tracks, metadata names), loadable
-// in chrome://tracing or https://ui.perfetto.dev; snapshot(),
-// hist_snapshot(), and digest() expose the same data to tests and to
-// the metrics v2 serializer. Timestamps are scheduling-dependent; the
-// *set* of spans in the deterministic categories (everything except
-// kTask) is a pure function of the work, which the trace determinism
-// property test pins across pool sizes and fork grains.
+// in chrome://tracing or https://ui.perfetto.dev; snapshot() and
+// digest() expose the same data to tests and to the run manifest.
+// Timestamps are scheduling-dependent; the *set* of spans in the
+// deterministic categories (everything except kTask) is a pure
+// function of the work, which the trace determinism property test
+// pins across pool sizes and fork grains.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -52,10 +50,10 @@
 
 namespace bsmp::engine::trace {
 
-/// Span categories — the `cat` field of the Chrome trace events and
-/// the keys of the per-phase duration histograms. Spans in kTask are
-/// scheduling-dependent (which forks ran, who stole what); every other
-/// category is a deterministic function of the executed work.
+/// Span categories — the `cat` field of the Chrome trace events.
+/// Spans in kTask are scheduling-dependent (which forks ran, who stole
+/// what); every other category is a deterministic function of the
+/// executed work.
 enum class Cat : std::uint8_t {
   kTask = 0,    ///< task layer: task-run, fork, steal, join-park, merges
   kSepRegion,   ///< separator recursion: sep-region nodes, sep-leaf batches
@@ -64,32 +62,11 @@ enum class Cat : std::uint8_t {
   kSim,         ///< simulator drivers: tiles, relocation levels, wavefronts
   kCount
 };
-inline constexpr int kNumCats = static_cast<int>(Cat::kCount);
 
 /// Stable category name ("task", "sep-region", ...).
 const char* cat_name(Cat c);
 
-/// Log2 duration histogram: bucket 0 holds 0 ns, bucket b >= 1 holds
-/// durations in [2^(b-1), 2^b) ns.
-inline constexpr int kHistBuckets = 64;
-int duration_bucket(std::uint64_t ns);
-
-/// Aggregated histogram counters (summed over threads). Plain data,
-/// always defined — the metrics v2 serializer embeds one per pass even
-/// when tracing is compiled out (then it stays all-zero).
-struct HistSnapshot {
-  /// Per-category span-duration counts: span_ns[cat][bucket].
-  std::array<std::array<std::uint64_t, kHistBuckets>, kNumCats> span_ns{};
-  /// push -> steal latency of directly-executed stolen tasks.
-  std::array<std::uint64_t, kHistBuckets> steal_latency_ns{};
-
-  /// Counter-wise difference (for per-pass deltas of a process-global
-  /// recorder).
-  HistSnapshot& operator-=(const HistSnapshot& o);
-  bool empty() const;
-};
-
-/// The self-description block of a metrics v2 artifact and of the
+/// The self-description block of a metrics artifact and of the
 /// "otherData" section of a flushed trace: which build, which machine,
 /// which knobs produced the numbers.
 struct RunManifest {
@@ -158,12 +135,10 @@ inline std::uint64_t now_ns() {
 extern std::atomic<bool> g_enabled;
 
 /// Append one event to the calling thread's buffer (registering the
-/// buffer on first use) and bump the category histogram.
+/// buffer on first use).
 void record(Cat cat, char ph, const char* name, std::uint64_t t0,
             std::uint64_t dur, std::int64_t a0, std::int64_t a1,
             const char* detail, std::size_t detail_len);
-
-void record_steal_latency(std::uint64_t ns);
 
 }  // namespace detail
 
@@ -217,11 +192,6 @@ inline void instant(Cat cat, const char* name, std::int64_t a0 = 0,
     detail::record(cat, 'i', name, detail::now_ns(), 0, a0, a1, nullptr, 0);
 }
 
-/// Feed one push->steal latency into the steal-latency histogram.
-inline void steal_latency(std::uint64_t ns) {
-  if (enabled()) detail::record_steal_latency(ns);
-}
-
 #else  // !BSMP_TRACE_ENABLED — every recording entry point is a no-op.
 
 constexpr bool enabled() { return false; }
@@ -237,7 +207,6 @@ class Span {
 };
 
 inline void instant(Cat, const char*, std::int64_t = 0, std::int64_t = 0) {}
-inline void steal_latency(std::uint64_t) {}
 
 #endif  // BSMP_TRACE_ENABLED
 
@@ -247,19 +216,9 @@ inline void steal_latency(std::uint64_t) {}
 /// Call only while no instrumented code is running (quiescent).
 std::vector<SpanRec> snapshot();
 
-/// Sum of every thread's histograms (safe to call concurrently with
-/// recording; counts are monotone relaxed).
-HistSnapshot hist_snapshot();
-
 /// Events currently held across all buffers / dropped for lack of room.
 std::uint64_t events_recorded();
 std::uint64_t dropped();
-
-/// Monotonic timestamp on the recorder's clock (ns), for scoping a
-/// span snapshot to one measurement pass: spans with t0_ns >= mark()
-/// started after the mark. 0 when tracing is compiled out — every
-/// span (there are none) trivially passes the filter.
-std::uint64_t mark();
 
 /// Order-independent FNV-1a-based hash over the identity (name, cat,
 /// ph, a0, a1, detail) of every *held* event — stable for a
@@ -267,7 +226,7 @@ std::uint64_t mark();
 /// events are not included.
 std::uint64_t digest();
 
-/// Reset every buffer, histogram, and drop counter. Buffers of dead
+/// Reset every buffer and drop counter. Buffers of dead
 /// threads are released; live threads keep their (emptied) buffer.
 /// Quiescent only.
 void clear();

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 #include <vector>
 
 #include "analytic/advisor.hpp"
@@ -26,19 +25,6 @@ std::string basename_of(const std::string& path) {
 std::string fmt(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-std::string fmt_ns(double ns) {
-  char buf[48];
-  if (ns >= 1e9)
-    std::snprintf(buf, sizeof buf, "%.3f s", ns / 1e9);
-  else if (ns >= 1e6)
-    std::snprintf(buf, sizeof buf, "%.3f ms", ns / 1e6);
-  else if (ns >= 1e3)
-    std::snprintf(buf, sizeof buf, "%.3f us", ns / 1e3);
-  else
-    std::snprintf(buf, sizeof buf, "%.0f ns", ns);
   return buf;
 }
 
@@ -130,56 +116,6 @@ bool load_spec_for(const std::string& tolerances_path,
   return true;
 }
 
-// ---- metrics-artifact helpers --------------------------------------
-
-std::uint64_t attribution_dropped(const json::Value& pass) {
-  return static_cast<std::uint64_t>(
-      pass["attribution"]["dropped"].as_number(0));
-}
-
-bool attribution_trusted(const json::Value& pass) {
-  const json::Value& at = pass["attribution"];
-  if (at.is_null()) return true;  // nothing to distrust
-  return at["trusted"].as_number(1) != 0;
-}
-
-std::uint64_t total_dropped(const Artifact& a) {
-  std::uint64_t n = static_cast<std::uint64_t>(
-      a.root["manifest"]["trace_dropped"].as_number(0));
-  for (const auto& pass : a.root["passes"].items())
-    n = std::max(n, attribution_dropped(pass));
-  return n;
-}
-
-void show_attribution(const json::Value& at, std::ostream& os) {
-  double total = at["total_self_ns"].as_number();
-  os << "    attribution: " << fmt(at["spans"].as_number()) << " spans, "
-     << "self-time " << fmt_ns(total) << ", critical path "
-     << fmt_ns(at["critical_path_ns"].as_number());
-  if (at["trusted"].as_number(1) == 0)
-    os << "  [UNTRUSTED: " << fmt(at["dropped"].as_number())
-       << " dropped]";
-  os << "\n";
-  for (const auto& [mech, slice] : at["mechanisms"].members()) {
-    double self = slice["self_ns"].as_number();
-    char pct[16];
-    std::snprintf(pct, sizeof pct, "%5.1f%%",
-                  total > 0 ? 100.0 * self / total : 0.0);
-    os << "      " << pct << "  " << mech << "  " << fmt_ns(self) << "  ("
-       << fmt(slice["spans"].as_number()) << " spans)\n";
-  }
-  const json::Value& phases = at["phases"];
-  if (!phases.members().empty()) {
-    os << "      by phase:\n";
-    for (const auto& [phase, row] : phases.members()) {
-      os << "        " << phase << ":";
-      for (const auto& [mech, ns] : row.members())
-        os << " " << mech << "=" << fmt_ns(ns.as_number());
-      os << "\n";
-    }
-  }
-}
-
 }  // namespace
 
 LoadResult load_artifact(const std::string& path) {
@@ -238,8 +174,9 @@ int run_show(const Artifact& a, std::ostream& os) {
     return kExitOk;
   }
   if (a.kind != ArtifactKind::kMetrics) {
-    os << "  (unrecognized artifact; no report)\n";
-    return kExitOk;
+    os << "error: unrecognized artifact (neither bsmp-metrics nor "
+          "google-benchmark)\n";
+    return kExitUsage;
   }
 
   const json::Value& man = a.root["manifest"];
@@ -248,15 +185,15 @@ int run_show(const Artifact& a, std::ostream& os) {
      << " build, git " << man["git_sha"].as_string() << ", simd "
      << man["simd_isa"].as_string() << "\n";
 
-  std::uint64_t drops = total_dropped(a);
+  const double drops = man["trace_dropped"].as_number(0);
   if (drops > 0) {
     os << "\n"
        << "  ********************************************************\n"
-       << "  *  WARNING: " << drops << " trace events DROPPED (ring buffer "
-       << "full).\n"
-       << "  *  Attribution below UNDER-COUNTS and must not be used\n"
-       << "  *  to gate regressions. Re-run with a larger\n"
-       << "  *  BSMP_TRACE_BUFFER for trustworthy numbers.\n"
+       << "  *  WARNING: " << fmt(drops) << " trace events DROPPED (ring "
+       << "buffer full).\n"
+       << "  *  The span timeline in the trace file is truncated.\n"
+       << "  *  Re-run with a larger BSMP_TRACE_BUFFER for a\n"
+       << "  *  complete trace.\n"
        << "  ********************************************************\n\n";
   }
 
@@ -265,24 +202,19 @@ int run_show(const Artifact& a, std::ostream& os) {
     os << "  pass threads=" << fmt(pass["threads"].as_number()) << "  "
        << fmt(pass["seconds"].as_number()) << " s, "
        << fmt(pass["sweeps"].items().size()) << " sweeps\n";
-    const json::Value& at = pass["attribution"];
-    if (!at.is_null()) {
-      show_attribution(at, os);
-      const json::Value& cal = at["calibration_points"];
-      if (!cal.items().empty()) {
-        os << "    calibration points (" << cal.items().size() << "):\n";
-        for (const auto& c : cal.items()) {
-          os << "      n=" << fmt(c["n"].as_number())
-             << " m=" << fmt(c["m"].as_number())
-             << " p=" << fmt(c["p"].as_number()) << " range "
-             << c["range"].as_string()
-             << (c["holdout"].as_number() != 0 ? " [holdout]" : "")
-             << ": slowdown " << fmt(c["slowdown"].as_number())
-             << " = reloc " << fmt(c["slow_reloc"].as_number()) << " + exec "
-             << fmt(c["slow_exec"].as_number()) << " + comm "
-             << fmt(c["slow_comm"].as_number()) << "\n";
-        }
-      }
+    const auto& cal = pass["calibration_points"].items();
+    if (cal.empty()) continue;
+    os << "    calibration points (" << cal.size() << "):\n";
+    for (const auto& c : cal) {
+      os << "      n=" << fmt(c["n"].as_number())
+         << " m=" << fmt(c["m"].as_number())
+         << " p=" << fmt(c["p"].as_number()) << " range "
+         << c["range"].as_string()
+         << (c["holdout"].as_number() != 0 ? " [holdout]" : "")
+         << ": slowdown " << fmt(c["slowdown"].as_number())
+         << " = reloc " << fmt(c["slow_reloc"].as_number()) << " + exec "
+         << fmt(c["slow_exec"].as_number()) << " + comm "
+         << fmt(c["slow_comm"].as_number()) << "\n";
     }
   }
   return kExitOk;
@@ -377,35 +309,10 @@ void diff_metrics(const Artifact& baseline, const Artifact& candidate,
         st.fail("pass " + fmt((double)i) + " sweep " + fmt((double)j) +
                 " label/points differ");
     }
-    // Attribution: keys are a pure function of the span multiset —
-    // compare them when both sides are trusted.
-    const json::Value& ba = bp[i]["attribution"];
-    const json::Value& ca = cp[i]["attribution"];
-    if (!ba.is_null() && !ca.is_null()) {
-      if (!attribution_trusted(bp[i]) || !attribution_trusted(cp[i])) {
-        os << "skip attribution of pass " << i
-           << ": one side has trace drops (untrusted)\n";
-      } else {
-        auto keys = [](const json::Value& at) {
-          std::vector<std::string> k;
-          for (const auto& [name, v] : at["mechanisms"].members()) {
-            (void)v;
-            k.push_back(name);
-          }
-          std::sort(k.begin(), k.end());
-          return k;
-        };
-        if (keys(ba) != keys(ca))
-          st.fail("pass " + fmt((double)i) +
-                  " attribution mechanism keys differ");
-        else
-          os << "ok    pass " << i << " attribution keys match\n";
-      }
-    }
     // Calibration points: ledger-deterministic, so values must agree
     // exactly (tiny epsilon for serialization rounding).
-    const auto& bc = ba["calibration_points"].items();
-    const auto& cc = ca["calibration_points"].items();
+    const auto& bc = bp[i]["calibration_points"].items();
+    const auto& cc = cp[i]["calibration_points"].items();
     if (!bc.empty() || !cc.empty()) {
       if (bc.size() != cc.size()) {
         st.fail("pass " + fmt((double)i) + " calibration point count differs");
@@ -507,7 +414,11 @@ int run_diff(const Artifact& baseline, const Artifact& candidate,
   os << st.report.str();
   if (!opt.report_path.empty()) {
     std::ofstream f(opt.report_path);
-    if (f) f << st.report.str();
+    f << st.report.str();
+    if (!f) {
+      os << "error: cannot write report " << opt.report_path << "\n";
+      return kExitUsage;
+    }
   }
   return code;
 }
@@ -521,11 +432,11 @@ int run_fit(const Artifact& a, std::ostream& os) {
   // the same deterministic samples; the last is the parallel pass).
   const json::Value* cal = nullptr;
   for (const auto& pass : a.root["passes"].items()) {
-    const json::Value& c = pass["attribution"]["calibration_points"];
+    const json::Value& c = pass["calibration_points"];
     if (!c.items().empty()) cal = &c;
   }
   if (cal == nullptr) {
-    os << "error: no attribution.calibration_points in " << a.path
+    os << "error: no calibration_points in " << a.path
        << " (run the `cal` emitter with metrics enabled)\n";
     return kExitUsage;
   }
@@ -594,8 +505,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         << "                      [--require-comparable] <baseline.json> "
            "<candidate.json>\n"
         << "       bsmp-stat fit <metrics.json>\n"
-        << "artifacts: bsmp-metrics-v1..v3 reports and google-benchmark\n"
-        << "--benchmark_out files are auto-detected.\n"
+        << "artifacts: bsmp-metrics-v1..v4 reports and google-benchmark\n"
+        << "--benchmark_out files are auto-detected; anything else is\n"
+        << "refused. fit reads the v4 per-pass calibration_points.\n"
         << "exit codes: 0 ok/cleanly-skipped, 1 regression, 2 usage or\n"
         << "file error, 3 incomparable hardware under "
            "--require-comparable.\n";
@@ -608,6 +520,12 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     LoadResult r = load_artifact(path);
     if (!r.ok) {
       err << "error: " << r.error << "\n";
+      return false;
+    }
+    if (r.artifact.kind == ArtifactKind::kUnknown) {
+      err << "error: " << path
+          << ": unrecognized artifact (neither bsmp-metrics nor "
+             "google-benchmark)\n";
       return false;
     }
     a = std::move(r.artifact);

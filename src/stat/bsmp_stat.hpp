@@ -1,16 +1,16 @@
 // bsmp-stat — analysis toolchain over the repo's JSON artifacts.
 //
-// The repo emits two artifact families: bsmp-metrics-v1..v3 reports
+// The repo emits two artifact families: bsmp-metrics-v1..v4 reports
 // (engine/metrics.hpp) and google-benchmark --benchmark_out files (the
 // committed bench/BENCH_*.json baselines). This library gives both a
 // uniform read path and three operations, exposed by the `bsmp-stat`
-// binary (tools/bsmp_stat.cpp):
+// binary (tools/bsmp_stat.cpp); each refuses any other document with
+// exit 2:
 //
-//   show  — human-readable report: manifest, per-pass attribution
-//           (per-mechanism self-time with percentages, critical path,
-//           phase matrix), calibration points. A run whose trace ring
-//           buffers dropped events gets a loud banner: its attribution
-//           under-counts and must not be trusted.
+//   show  — human-readable report: manifest, per-pass wall clock and
+//           calibration points. A run whose trace ring buffers dropped
+//           events (manifest "trace_dropped") gets a loud banner: its
+//           trace file's timeline is truncated.
 //   diff  — compare a candidate artifact against a baseline under a
 //           declared tolerance spec (bench/tolerances.json). Two gate
 //           classes: *ratio gates* relate numbers within the candidate
@@ -19,11 +19,11 @@
 //           against the baseline's — meaningful only on the same
 //           hardware, so the diff refuses them (loudly, exit 0; exit 3
 //           under --require-comparable) when hostname or num_cpus
-//           differ or are unknown. Attribution from runs with drops is
-//           skipped, not gated. Nonzero exit on regression makes this
-//           the CI perf sentinel.
-//   fit   — least-squares per-mechanism, per-range constants from a
-//           metrics-v3 attribution.calibration_points block
+//           differ or are unknown. Nonzero exit on regression makes
+//           this the CI perf sentinel; a --report file that cannot be
+//           written is exit 2.
+//   fit   — least-squares per-mechanism, per-range constants from the
+//           metrics-v4 per-pass calibration_points array
 //           (analytic::MechanismCalibration), reported against the
 //           aggregate 3-constant fit on the same samples.
 //
@@ -65,8 +65,8 @@ struct LoadResult {
   std::string error;
 };
 
-/// Parse and classify a file. kUnknown documents load fine (show can
-/// still dump them); parse/IO failures report in `error`.
+/// Parse and classify a file. kUnknown documents load fine (every
+/// operation then refuses them); parse/IO failures report in `error`.
 LoadResult load_artifact(const std::string& path);
 
 /// Whether drift comparisons between the two runs are meaningful: both
@@ -75,7 +75,7 @@ bool comparable_hardware(const Artifact& a, const Artifact& b);
 
 /// Process exit codes of the CLI (and of run_diff): kOk covers both
 /// "all gates passed" and "cleanly skipped" (cross-hardware baseline
-/// without --require-comparable, untrusted attribution).
+/// without --require-comparable).
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitRegression = 1;
 inline constexpr int kExitUsage = 2;
@@ -94,7 +94,7 @@ struct DiffOptions {
 int run_diff(const Artifact& baseline, const Artifact& candidate,
              const DiffOptions& opt, std::ostream& os);
 
-/// `bsmp-stat fit`: per-mechanism constants from a metrics-v3
+/// `bsmp-stat fit`: per-mechanism constants from a metrics-v4
 /// artifact's calibration points.
 int run_fit(const Artifact& a, std::ostream& os);
 

@@ -116,10 +116,10 @@ analytic::MechanismCalibration run_mechanism_calibration(
 
 namespace {
 
-// One metrics-v3 calibration sample (attribution.calibration_points)
-// per grid point, recorded from the emitter thread *after* the sweep,
-// in point order, so the serialized array is deterministic however the
-// pool scheduled the measurements.
+// One calibration sample (the metrics-v4 per-pass calibration_points
+// array) per grid point, recorded from the emitter thread *after* the
+// sweep, in point order, so the serialized array is deterministic
+// however the pool scheduled the measurements.
 void record_calibration_samples(EngineCtx& ctx,
                                 const std::vector<CalibrationPoint>& pts,
                                 const std::vector<CalibrationMeasurement>& meas,

@@ -2,7 +2,7 @@
 //
 // The CLI surface is tested in-process through run_cli — the binary in
 // tools/ is a two-line shell around it — against synthetic artifacts
-// of both families (bsmp-metrics-v3 reports, google-benchmark
+// of both families (bsmp-metrics-v4 reports, google-benchmark
 // --benchmark_out files) written to the test temp dir. The diff exit
 // codes are the CI contract: 0 ok/cleanly-skipped, 1 regression,
 // 2 usage/file error, 3 refused under --require-comparable.
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/json.hpp"
+#include "engine/metrics.hpp"
 #include "stat/bsmp_stat.hpp"
 
 using namespace bsmp;
@@ -54,12 +55,13 @@ int cli(std::vector<std::string> args, std::string* out = nullptr,
   return code;
 }
 
-/// A minimal but complete bsmp-metrics-v3 report.
+/// A minimal but complete bsmp-metrics-v4 report; `trace_dropped` is
+/// the manifest's count of trace events lost to full ring buffers.
 std::string metrics_doc(const std::string& hostname, int num_cpus,
-                        int trusted, double speedup = 2.0) {
+                        int trace_dropped, double speedup = 2.0) {
   std::ostringstream os;
   os << R"({
-  "schema": "bsmp-metrics-v3",
+  "schema": "bsmp-metrics-v4",
   "name": "unit",
   "speedup": )" << speedup
      << R"(,
@@ -67,18 +69,13 @@ std::string metrics_doc(const std::string& hostname, int num_cpus,
                "hardware_threads": )"
      << num_cpus << R"(, "num_cpus": )" << num_cpus
      << R"(, "hostname": ")" << hostname << R"(",
-               "simd_isa": "avx2", "trace_dropped": 0},
+               "simd_isa": "avx2", "trace_dropped": )"
+     << trace_dropped << R"(},
   "passes": [
     {"threads": 1, "seconds": 4.0,
      "sweeps": [{"label": "grid", "points": 8}],
-     "attribution": {"trusted": )"
-     << trusted << R"(, "dropped": )" << (trusted != 0 ? 0 : 7)
-     << R"(, "spans": 10,
-       "total_self_ns": 1000, "critical_path_ns": 800,
-       "mechanisms": {"compute": {"self_ns": 900, "spans": 8},
-                      "relocation": {"self_ns": 100, "spans": 2}},
-       "phases": {"machine-tile": {"compute": 900}},
-       "calibration_points": [
+     "hot": [],
+     "calibration_points": [
          {"n": 64, "m": 4, "p": 4, "s": 4, "range": "range2",
           "holdout": 0, "slowdown": 3.0, "slow_reloc": 0.5,
           "slow_exec": 2.0, "slow_comm": 0.5, "term_reloc": 1.0,
@@ -94,7 +91,7 @@ std::string metrics_doc(const std::string& hostname, int num_cpus,
          {"n": 256, "m": 4, "p": 4, "s": 7, "range": "range2",
           "holdout": 1, "slowdown": 5.0, "slow_reloc": 1.0,
           "slow_exec": 3.2, "slow_comm": 0.8, "term_reloc": 2.0,
-          "term_exec": 3.0, "term_comm": 0.9}]}}]
+          "term_exec": 3.0, "term_comm": 0.9}]}]
 })";
   return os.str();
 }
@@ -234,13 +231,13 @@ TEST(Json, ParseFileReportsIoErrors) {
 // ---- artifact loading ----------------------------------------------
 
 TEST(StatLoad, ClassifiesBothArtifactFamilies) {
-  auto mp = write_file("m.json", metrics_doc("boxA", 8, 1));
+  auto mp = write_file("m.json", metrics_doc("boxA", 8, 0));
   auto gp = write_file("g.json", gbench_doc("boxB", 4, 2500.0));
 
   auto m = stat::load_artifact(mp);
   ASSERT_TRUE(m.ok) << m.error;
   EXPECT_EQ(m.artifact.kind, stat::ArtifactKind::kMetrics);
-  EXPECT_EQ(m.artifact.schema, "bsmp-metrics-v3");
+  EXPECT_EQ(m.artifact.schema, "bsmp-metrics-v4");
   EXPECT_EQ(m.artifact.hostname, "boxA");
   EXPECT_EQ(m.artifact.num_cpus, 8);
 
@@ -255,7 +252,7 @@ TEST(StatLoad, ClassifiesBothArtifactFamilies) {
 }
 
 TEST(StatLoad, UnknownHardwareIsNeverComparable) {
-  auto p1 = write_file("h1.json", metrics_doc("", 8, 1));
+  auto p1 = write_file("h1.json", metrics_doc("", 8, 0));
   auto a1 = stat::load_artifact(p1);
   ASSERT_TRUE(a1.ok);
   EXPECT_FALSE(stat::comparable_hardware(a1.artifact, a1.artifact));
@@ -263,17 +260,19 @@ TEST(StatLoad, UnknownHardwareIsNeverComparable) {
 
 // ---- show ----------------------------------------------------------
 
-TEST(StatShow, ReportsAttributionAndBannersDrops) {
-  auto clean = write_file("show_ok.json", metrics_doc("box", 4, 1));
+TEST(StatShow, ReportsCalibrationPointsAndBannersDrops) {
+  auto clean = write_file("show_ok.json", metrics_doc("box", 4, 0));
   std::string out;
   EXPECT_EQ(cli({"show", clean}, &out), stat::kExitOk);
-  EXPECT_NE(out.find("compute"), std::string::npos) << out;
-  EXPECT_NE(out.find("critical path"), std::string::npos) << out;
+  EXPECT_NE(out.find("calibration points (4)"), std::string::npos) << out;
+  EXPECT_NE(out.find("n=256 m=4 p=4 range range2 [holdout]"),
+            std::string::npos)
+      << out;
   EXPECT_EQ(out.find("DROPPED"), std::string::npos) << out;
 
-  auto dropped = write_file("show_drop.json", metrics_doc("box", 4, 0));
+  auto dropped = write_file("show_drop.json", metrics_doc("box", 4, 7));
   EXPECT_EQ(cli({"show", dropped}, &out), stat::kExitOk);
-  EXPECT_NE(out.find("DROPPED"), std::string::npos)
+  EXPECT_NE(out.find("WARNING: 7 trace events DROPPED"), std::string::npos)
       << "drop banner missing:\n"
       << out;
 }
@@ -333,29 +332,19 @@ TEST(StatDiff, CrossHardwareDriftIsRefusedNotGated) {
 
 TEST(StatDiff, MetricsSelfCompareIsClean) {
   auto tol = write_file("tol.json", kTolerances);
-  auto base = write_file("metrics_base.json", metrics_doc("box", 4, 1));
+  auto base = write_file("metrics_base.json", metrics_doc("box", 4, 0));
   std::string out;
   int code = cli({"diff", "--tolerances", tol, base, base}, &out);
   EXPECT_EQ(code, stat::kExitOk) << out;
   EXPECT_NE(out.find("0 regressions"), std::string::npos) << out;
-  EXPECT_NE(out.find("attribution keys match"), std::string::npos) << out;
-}
-
-TEST(StatDiff, UntrustedAttributionIsSkippedNotGated) {
-  auto base = write_file("metrics_base.json", metrics_doc("box", 4, 1));
-  auto cand = write_file("metrics_drop.json", metrics_doc("box", 4, 0));
-  std::string out;
-  int code = cli({"diff", base, cand}, &out);
-  EXPECT_EQ(code, stat::kExitOk) << out;
-  EXPECT_NE(out.find("untrusted"), std::string::npos) << out;
 }
 
 TEST(StatDiff, MetricsDriftGatesSpeedupOnSameHardware) {
   auto tol = write_file("tol.json", kTolerances);
   auto base =
-      write_file("metrics_base.json", metrics_doc("box", 4, 1, 2.0));
+      write_file("metrics_base.json", metrics_doc("box", 4, 0, 2.0));
   auto cand =
-      write_file("metrics_slow.json", metrics_doc("box", 4, 1, 1.0));
+      write_file("metrics_slow.json", metrics_doc("box", 4, 0, 1.0));
   std::string out;
   int code = cli({"diff", "--tolerances", tol, base, cand}, &out);
   EXPECT_EQ(code, stat::kExitRegression) << out;
@@ -375,8 +364,21 @@ TEST(StatDiff, ReportFileTeesTheOutput) {
   std::remove(report.c_str());
 }
 
+TEST(StatDiff, UnwritableReportIsExitTwo) {
+  // A clean diff whose --report cannot be written must not pass as
+  // "0 regressions": the report the caller asked for would be lost.
+  auto base = write_file("base.json", gbench_doc("box", 4, 2500.0));
+  const std::string report = "/nonexistent/dir/r.txt";
+  std::string out;
+  EXPECT_EQ(cli({"diff", "--report", report, base, base}, &out),
+            stat::kExitUsage);
+  EXPECT_NE(out.find("error: cannot write report " + report),
+            std::string::npos)
+      << out;
+}
+
 TEST(StatDiff, MixedArtifactKindsAreAUsageError) {
-  auto m = write_file("m.json", metrics_doc("box", 4, 1));
+  auto m = write_file("m.json", metrics_doc("box", 4, 0));
   auto g = write_file("g.json", gbench_doc("box", 4, 2500.0));
   EXPECT_EQ(cli({"diff", m, g}), stat::kExitUsage);
 }
@@ -384,7 +386,7 @@ TEST(StatDiff, MixedArtifactKindsAreAUsageError) {
 // ---- fit -----------------------------------------------------------
 
 TEST(StatFit, FitsMechanismConstantsFromCalibrationPoints) {
-  auto mp = write_file("fit.json", metrics_doc("box", 4, 1));
+  auto mp = write_file("fit.json", metrics_doc("box", 4, 0));
   std::string out;
   int code = cli({"fit", mp}, &out);
   EXPECT_EQ(code, stat::kExitOk) << out;
@@ -399,20 +401,61 @@ TEST(StatFit, RefusesArtifactsWithoutCalibrationPoints) {
   EXPECT_EQ(cli({"fit", g}, &out, &err), stat::kExitUsage);
 }
 
+TEST(StatFit, ReadsCalibrationPointsTheSerializerWrites) {
+  // Writer/reader round trip: engine::MetricsReport::write_json and
+  // bsmp-stat fit must agree on where calibration_points live.
+  engine::MetricsReport report;
+  report.name = "cal";
+  report.manifest = engine::trace::make_run_manifest("cal");
+  engine::MetricsPass pass;
+  const int grid[][3] = {{64, 4, 4}, {128, 4, 4}, {128, 8, 4}, {128, 4, 8},
+                         {256, 4, 4}};
+  for (const auto& g : grid) {
+    engine::CalibrationSample cs;
+    cs.n = g[0], cs.m = g[1], cs.p = g[2];
+    cs.range = "range2";
+    cs.holdout = cs.n == 256;
+    cs.slow_reloc = 0.01 * cs.n / cs.p;
+    cs.slow_exec = 0.5 * cs.m;
+    cs.slow_comm = 0.1 * cs.p;
+    cs.slowdown = cs.slow_reloc + cs.slow_exec + cs.slow_comm;
+    pass.calibration.push_back(cs);
+  }
+  report.passes.push_back(pass);
+  const std::string path = temp_path("roundtrip.json");
+  ASSERT_TRUE(report.write_json_file(path));
+
+  auto loaded = stat::load_artifact(path);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.artifact.schema, "bsmp-metrics-v4");
+  std::ostringstream out;
+  EXPECT_EQ(stat::run_fit(loaded.artifact, out), stat::kExitOk) << out.str();
+  EXPECT_NE(out.str().find("over 4 training points (1 holdout)"),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("holdout n=256 m=4 p=4"), std::string::npos)
+      << out.str();
+}
+
 // ---- CLI surface ---------------------------------------------------
 
 TEST(StatCli, MalformedArtifactsAreExitTwo) {
-  // A truncated artifact and a hostile deeply nested one are refused
-  // with the usage/file exit code, not a crash.
-  auto good = metrics_doc("boxA", 8, 1);
+  // A truncated artifact, a hostile deeply nested one, and well-formed
+  // JSON that is no known artifact are refused with the usage/file exit
+  // code, not a crash and not an empty report.
+  auto good = metrics_doc("boxA", 8, 0);
   auto truncated =
       write_file("truncated.json", good.substr(0, good.size() / 2));
   auto deep = write_file("deep.json", std::string(200000, '['));
   auto number = write_file("number.json", R"({"a": .5, "b": +1, "c": 01})");
+  auto empty_object = write_file("empty_object.json", "{}");
+  auto array = write_file("array.json", "[1,2]");
   const std::pair<std::string, const char*> cases[] = {
       {truncated, ""},  // whichever token the cut lands in
       {deep, "nesting too deep"},
-      {number, "invalid number"}};
+      {number, "invalid number"},
+      {empty_object, "unrecognized artifact"},
+      {array, "unrecognized artifact"}};
   for (const auto& [path, why] : cases) {
     std::string out, err;
     EXPECT_EQ(cli({"show", path}, &out, &err), stat::kExitUsage) << path;

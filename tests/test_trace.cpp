@@ -110,18 +110,6 @@ std::vector<Sig> traced_signature(int threads, std::int64_t grain) {
 
 }  // namespace
 
-TEST(TraceUnits, DurationBuckets) {
-  if (!trace::compiled()) GTEST_SKIP() << "BSMP_TRACE compiled out";
-  EXPECT_EQ(trace::duration_bucket(0), 0);
-  EXPECT_EQ(trace::duration_bucket(1), 1);
-  EXPECT_EQ(trace::duration_bucket(2), 2);
-  EXPECT_EQ(trace::duration_bucket(3), 2);
-  EXPECT_EQ(trace::duration_bucket(4), 3);
-  EXPECT_EQ(trace::duration_bucket(1023), 10);
-  EXPECT_EQ(trace::duration_bucket(1024), 11);
-  EXPECT_EQ(trace::duration_bucket(~std::uint64_t{0}), 63);
-}
-
 TEST(TraceUnits, DisabledRecorderRecordsNothing) {
   if (!trace::compiled()) GTEST_SKIP() << "BSMP_TRACE compiled out";
   trace::clear();
@@ -132,7 +120,6 @@ TEST(TraceUnits, DisabledRecorderRecordsNothing) {
   }
   EXPECT_EQ(trace::events_recorded(), 0u);
   EXPECT_TRUE(trace::snapshot().empty());
-  EXPECT_TRUE(trace::hist_snapshot().empty());
 }
 
 TEST(TraceDeterminism, SpanSetIdenticalAcrossPoolAndGrain) {
@@ -180,29 +167,6 @@ TEST(TraceDeterminism, DigestStableAcrossIdenticalRuns) {
   trace::set_enabled(false);
   EXPECT_EQ(trace::digest(), d1);
   EXPECT_EQ(trace::events_recorded(), events);
-  trace::clear();
-}
-
-TEST(TraceDeterminism, HistogramsCountEveryCompleteSpan) {
-  if (!trace::compiled()) GTEST_SKIP() << "BSMP_TRACE compiled out";
-  trace::clear();
-  trace::set_enabled(true);
-  run_workload(2);
-  trace::set_enabled(false);
-  ASSERT_EQ(trace::dropped(), 0u) << "buffer too small for the workload";
-
-  // With no drops, each category's histogram total equals its complete
-  // ('X') event count.
-  std::uint64_t span_events[trace::kNumCats] = {};
-  for (const trace::SpanRec& e : trace::snapshot())
-    if (e.ph == 'X') ++span_events[static_cast<int>(e.cat)];
-  const trace::HistSnapshot h = trace::hist_snapshot();
-  for (int c = 0; c < trace::kNumCats; ++c) {
-    std::uint64_t total = 0;
-    for (std::uint64_t n : h.span_ns[static_cast<std::size_t>(c)]) total += n;
-    EXPECT_EQ(total, span_events[c])
-        << "category " << trace::cat_name(static_cast<trace::Cat>(c));
-  }
   trace::clear();
 }
 
