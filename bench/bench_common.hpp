@@ -65,9 +65,6 @@ inline EmitterPass run_pass(const tables::Emitter& emitter, int threads) {
   engine::PlanCache plans;
   engine::Metrics metrics;
   tables::EngineCtx ctx{&pool, &plans, &metrics};
-  // The arena is process-global; the pass's "mem" block is the delta
-  // across the pass.
-  const engine::ArenaStats mem_before = engine::Arena::instance().stats();
   auto t0 = std::chrono::steady_clock::now();
   EmitterPass pass;
   pass.artifacts = emitter.fn(ctx);
@@ -79,7 +76,6 @@ inline EmitterPass run_pass(const tables::Emitter& emitter, int threads) {
   pass.metrics.sweeps = metrics.snapshot();
   pass.metrics.hot = metrics.hot_snapshot();
   pass.metrics.tasks = pool.task_stats();
-  pass.metrics.mem = engine::Arena::instance().stats() - mem_before;
   pass.metrics.calibration = metrics.calibration_snapshot();
   return pass;
 }

@@ -1,6 +1,7 @@
 #include "core/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "core/expect.hpp"
@@ -65,8 +66,9 @@ std::int64_t Args::get_int(const std::string& name,
   auto v = get(name);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   long long r = std::strtoll(v->c_str(), &end, 10);
-  BSMP_REQUIRE_MSG(end && *end == '\0',
+  BSMP_REQUIRE_MSG(!v->empty() && *end == '\0' && errno != ERANGE,
                    "--" << name << " expects an integer, got '" << *v << "'");
   return static_cast<std::int64_t>(r);
 }
@@ -75,8 +77,9 @@ double Args::get_double(const std::string& name, double fallback) const {
   auto v = get(name);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   double r = std::strtod(v->c_str(), &end);
-  BSMP_REQUIRE_MSG(end && *end == '\0',
+  BSMP_REQUIRE_MSG(!v->empty() && *end == '\0' && errno != ERANGE,
                    "--" << name << " expects a number, got '" << *v << "'");
   return r;
 }

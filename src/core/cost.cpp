@@ -84,11 +84,6 @@ std::uint64_t ChargeLog::events(CostKind kind) const {
   return events_[static_cast<std::size_t>(kind)];
 }
 
-void ChargeLog::clear() {
-  for (auto& v : addends_) v.clear();
-  events_.fill(0);
-}
-
 std::string CostLedger::report() const {
   std::ostringstream os;
   os << "total=" << total();

@@ -126,7 +126,7 @@ class ChargeLog {
 
   /// Inline recording handle (see CostLedger::Stream): each add_cost()
   /// appends one addend, preserving the per-addition granularity the
-  /// replay needs. Invalidated by destroying or clearing the log.
+  /// replay needs. Invalidated by destroying the log.
   class Stream {
    public:
     void add_cost(Cost cost) { addends_->push_back(cost); }
@@ -161,8 +161,6 @@ class ChargeLog {
 
   /// Recorded events for one kind.
   std::uint64_t events(CostKind kind) const;
-
-  void clear();
 
  private:
   std::array<std::vector<Cost>, kNumKinds> addends_{};

@@ -123,7 +123,7 @@ void json_tasks(std::ostream& os, const TaskStats& t) {
 }  // namespace
 
 void MetricsReport::write_json(std::ostream& os) const {
-  os << "{\n  \"schema\": \"bsmp-metrics-v4\",\n  \"name\": ";
+  os << "{\n  \"schema\": \"bsmp-metrics-v5\",\n  \"name\": ";
   json_string(os, name);
   os << ",\n  \"speedup\": ";
   json_real(os, speedup());
@@ -167,18 +167,8 @@ void MetricsReport::write_json(std::ostream& os) const {
        << ", \"misses\": " << pass.cache.misses
        << ", \"builds\": " << pass.cache.builds << ", \"hit_rate\": ";
     json_real(os, pass.cache.hit_rate());
-    os << ", \"evictions\": " << pass.cache.evictions
-       << ", \"bytes\": " << pass.cache.bytes;
     os << "},\n      \"tasks\": ";
     json_tasks(os, pass.tasks);
-    os << ",\n      \"mem\": {\"cold_allocs\": " << pass.mem.cold_allocs
-       << ", \"slab_reuses\": " << pass.mem.slab_reuses
-       << ", \"releases\": " << pass.mem.releases
-       << ", \"scratch_checkouts\": " << pass.mem.scratch_checkouts
-       << ", \"scratch_cold\": " << pass.mem.scratch_cold
-       << ",\n              \"bytes_held\": " << pass.mem.bytes_held
-       << ", \"bytes_live\": " << pass.mem.bytes_live
-       << ", \"peak_bytes\": " << pass.mem.peak_bytes << "}";
     os << ",\n      \"sweeps\": [";
     for (std::size_t si = 0; si < pass.sweeps.size(); ++si) {
       const auto& sw = pass.sweeps[si];

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/arena.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/task.hpp"
 #include "engine/trace.hpp"
@@ -160,11 +159,8 @@ class Metrics {
 struct MetricsPass {
   int threads = 1;          ///< pool size of the pass
   double seconds = 0;       ///< whole-pass wall clock
-  PlanCache::Stats cache;   ///< hit/miss/build/evict accounting of the pass
+  PlanCache::Stats cache;   ///< hit/miss/build accounting of the pass
   TaskStats tasks;          ///< fork-join scheduler counters of the pass
-  /// Arena and scratch-pool counter delta across the pass (monotone
-  /// fields) with end-of-pass residency gauges — the "mem" block.
-  ArenaStats mem;
   std::vector<SweepMetric> sweeps;  ///< every sweep the pass ran
   std::vector<HotPathMetric> hot;   ///< executor hot-path sections
   /// Calibration-grid per-mechanism decompositions recorded during the
@@ -177,7 +173,7 @@ struct MetricsPass {
 /// Schema (stable, versioned by the "schema" field):
 ///
 /// {
-///   "schema": "bsmp-metrics-v4",
+///   "schema": "bsmp-metrics-v5",
 ///   "name": "e6d",
 ///   "speedup": 1.02,
 ///   "manifest": { "name": "e6d", "git_sha": "6bd49c5...",
@@ -215,6 +211,12 @@ struct MetricsPass {
 ///
 /// Every field below keeps the name, position and meaning it had in
 /// the version that introduced it (pinned by tests/test_metrics.cpp).
+/// v5 changes over v4:
+///   * dropped: the per-pass "mem" block (the slab-arena and scratch-
+///     pool counters; staging levels and fork bookkeeping are now
+///     plainly owned memory, so there is no pool to report) and the
+///     two per-cache residency fields v2 added (the PlanCache has no
+///     LRU byte budget any more; entries live until it is cleared).
 /// v4 changes over v3:
 ///   * per-pass "calibration_points" — the calibration-grid samples
 ///     (the `cal` emitter) that v3 nested inside its span-fold block,
@@ -253,17 +255,8 @@ struct MetricsPass {
 ///     joins of that phase spent parked). Phases with all-zero
 ///     counters are omitted; the object itself is omitted when no
 ///     phase saw activity.
-///   * per-cache "evictions" and "bytes" — the PlanCache LRU's
-///     evictions during the pass and its resident plan_bytes total at
-///     the end of it (BSMP_PLAN_CACHE_BYTES budget).
-///   * per-pass "mem" — the engine::Arena delta of the pass:
-///     {"cold_allocs", "slab_reuses", "releases", "scratch_checkouts",
-///      "scratch_cold"} count slab and scratch-pool traffic,
-///     {"bytes_held", "bytes_live", "peak_bytes"} are the end-of-pass
-///     residency gauges (free-listed, checked-out, and the process
-///     high-water of both). Present in every pass (all-zero when the
-///     arena saw no traffic); BSMP_ARENA=off runs show cold_allocs
-///     only.
+///   * per-cache LRU residency fields and a per-pass "mem" block of
+///     arena counters — both dropped again in v5.
 /// The "hot" array carries the executor hot-path sections recorded via
 /// Metrics::record_hot; it is empty for passes that ran no simulator
 /// with a hot-metrics sink. The pass-level "tasks" object carries the

@@ -2,15 +2,11 @@
 
 #include <bit>
 
-#include "engine/arena.hpp"
-
 namespace bsmp::engine {
 
 std::uint64_t key_of_double(double v) {
   return std::bit_cast<std::uint64_t>(v);
 }
-
-PlanCache::PlanCache() : max_bytes_(default_plan_cache_bytes()) {}
 
 PlanCache::Stats PlanCache::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
@@ -18,8 +14,6 @@ PlanCache::Stats PlanCache::stats() const {
   s.hits = hits_;
   s.misses = misses_;
   s.builds = builds_.load(std::memory_order_relaxed);
-  s.evictions = evictions_;
-  s.bytes = bytes_;
   return s;
 }
 
@@ -31,23 +25,9 @@ std::size_t PlanCache::size() const {
 void PlanCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   map_.clear();
-  lru_.clear();
-  bytes_ = 0;
   hits_ = 0;
   misses_ = 0;
-  evictions_ = 0;
   builds_.store(0, std::memory_order_relaxed);
-}
-
-void PlanCache::set_max_bytes(std::size_t bytes) {
-  std::lock_guard<std::mutex> lk(mu_);
-  max_bytes_ = bytes;
-  evict_locked();
-}
-
-std::size_t PlanCache::max_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return max_bytes_;
 }
 
 }  // namespace bsmp::engine

@@ -10,21 +10,12 @@
 // else the family needs (tile/leaf widths, space constants, seeds).
 // Build-once semantics: if two threads miss on the same key at once,
 // one builds while the other blocks on the entry and then shares the
-// result — the builder runs exactly once per key.
-//
-// Residency (BSMP_PLAN_CACHE_BYTES; 0 = unbounded): the cache is an
-// LRU over its byte budget. Every built artifact is charged its
-// plan_bytes() estimate; when the total exceeds the budget, entries
-// are evicted least-recently-used first — skipping any entry whose
-// artifact is still referenced outside the cache, and never an entry
-// whose build is still in flight. An evicted entry keeps its value
-// alive for lookups that already held it, so eviction can never
-// invalidate a reader; a later request for the key simply rebuilds.
+// result — the builder runs exactly once per key. Entries stay until
+// clear() or the cache's destruction.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <typeinfo>
@@ -34,16 +25,6 @@
 #include "engine/trace.hpp"
 
 namespace bsmp::engine {
-
-/// Resident-byte estimate of a cached artifact, used for the cache's
-/// byte budget. ADL customization point: overload plan_bytes(const A&)
-/// in A's own namespace to account heap payloads (a Schedule's op
-/// vector, a reference run's final values); this fallback charges the
-/// object header alone.
-template <typename A>
-inline std::size_t plan_bytes(const A& a) {
-  return sizeof(a);
-}
 
 /// Discriminates what kind of artifact a key names (and thereby the
 /// stored type); families never share entries.
@@ -92,22 +73,14 @@ struct PlanKeyHash {
 
 class PlanCache {
  public:
-  /// The byte budget defaults from BSMP_PLAN_CACHE_BYTES at process
-  /// start (0 = unbounded).
-  PlanCache();
-
   /// Lookup/build accounting, snapshot by stats(). `hits`/`misses`
   /// count lookups; `builds` counts builder invocations that actually
-  /// ran (at most one per key unless a build threw and was retried);
-  /// `evictions` counts LRU evictions and `bytes` is the resident
-  /// plan_bytes total right now — the metrics layer serializes all of
-  /// them per pass.
+  /// ran (at most one per key unless a build threw and was retried) —
+  /// the metrics layer serializes all three per pass.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t builds = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t bytes = 0;
     std::uint64_t lookups() const { return hits + misses; }
     double hit_rate() const {
       return lookups() == 0
@@ -134,31 +107,22 @@ class PlanCache {
         ++misses_;
       } else {
         ++hits_;
-        touch_locked(*it->second);
       }
       entry = it->second;
     }
     BSMP_REQUIRE_MSG(*entry->type == typeid(T),
                      "PlanCache key reused with a different artifact type");
-    std::shared_ptr<const T> result;
-    {
-      std::lock_guard<std::mutex> lk(entry->mu);
-      // Null also when a previous build threw: retry it here so a
-      // failed build never poisons the key.
-      if (entry->value == nullptr) {
-        builds_.fetch_add(1, std::memory_order_relaxed);
-        trace::Span span(trace::Cat::kSweepPoint, "plan-build", key.width,
-                         static_cast<std::int64_t>(key.family));
-        entry->value = to_shared(build());
-      }
-      BSMP_ASSERT(entry->value != nullptr);
-      result = std::static_pointer_cast<const T>(entry->value);
+    std::lock_guard<std::mutex> lk(entry->mu);
+    // Null also when a previous build threw: retry it here so a failed
+    // build never poisons the key.
+    if (entry->value == nullptr) {
+      builds_.fetch_add(1, std::memory_order_relaxed);
+      trace::Span span(trace::Cat::kSweepPoint, "plan-build", key.width,
+                       static_cast<std::int64_t>(key.family));
+      entry->value = to_shared(build());
     }
-    // Charge the artifact into the LRU after releasing the entry lock
-    // (mu_ and entry->mu are never held together). plan_bytes is found
-    // by ADL in T's namespace, sizeof(T) otherwise.
-    account(key, entry, plan_bytes(*result));
-    return result;
+    BSMP_ASSERT(entry->value != nullptr);
+    return std::static_pointer_cast<const T>(entry->value);
   }
 
   /// Lookup without building; null when absent. Counts as hit/miss.
@@ -173,7 +137,6 @@ class PlanCache {
         return nullptr;
       }
       ++hits_;
-      touch_locked(*it->second);
       entry = it->second;
     }
     BSMP_REQUIRE_MSG(*entry->type == typeid(T),
@@ -186,66 +149,12 @@ class PlanCache {
   std::size_t size() const;
   void clear();
 
-  /// Change the byte budget (0 = unbounded) and evict down to it.
-  void set_max_bytes(std::size_t bytes);
-  std::size_t max_bytes() const;
-
  private:
   struct Entry {
     std::mutex mu;
     std::shared_ptr<const void> value;
     const std::type_info* type = nullptr;
-    // LRU state, guarded by the cache's mu_ (never entry->mu):
-    // accounted entries sit in lru_ (front = most recent) and are
-    // charged `bytes` against the budget.
-    std::size_t bytes = 0;
-    bool accounted = false;
-    std::list<PlanKey>::iterator lru_it;
   };
-
-  /// Move an accounted entry to the front of the LRU (under mu_).
-  void touch_locked(Entry& e) {
-    if (e.accounted) lru_.splice(lru_.begin(), lru_, e.lru_it);
-  }
-
-  /// First-time byte accounting for a built artifact, then eviction
-  /// down to the budget. No-op if the entry was evicted (or the cache
-  /// cleared) while the build ran — its value simply dies with its
-  /// last reader.
-  void account(const PlanKey& key, const std::shared_ptr<Entry>& entry,
-               std::size_t bytes) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!entry->accounted) {
-      auto it = map_.find(key);
-      if (it == map_.end() || it->second != entry) return;
-      entry->bytes = bytes;
-      entry->accounted = true;
-      lru_.push_front(key);
-      entry->lru_it = lru_.begin();
-      bytes_ += bytes;
-    }
-    evict_locked();
-  }
-
-  /// Evict least-recently-used entries until the budget holds. An
-  /// entry whose artifact is still referenced outside the cache
-  /// (use_count > 1) is skipped; the erased entry keeps its value, so
-  /// holders of the Entry from an in-flight get_or_build still read it.
-  void evict_locked() {
-    if (max_bytes_ == 0 || bytes_ <= max_bytes_) return;
-    auto it = lru_.end();
-    while (bytes_ > max_bytes_ && it != lru_.begin()) {
-      --it;
-      auto mit = map_.find(*it);
-      BSMP_ASSERT(mit != map_.end());
-      Entry& e = *mit->second;
-      if (e.value.use_count() > 1) continue;  // in use outside the cache
-      bytes_ -= e.bytes;
-      ++evictions_;
-      it = lru_.erase(it);
-      map_.erase(mit);
-    }
-  }
 
   template <typename T>
   static std::shared_ptr<const void> to_shared(std::shared_ptr<const T> p) {
@@ -263,12 +172,8 @@ class PlanCache {
 
   mutable std::mutex mu_;
   std::unordered_map<PlanKey, std::shared_ptr<Entry>, PlanKeyHash> map_;
-  std::list<PlanKey> lru_;  // front = most recently used, accounted only
-  std::size_t bytes_ = 0;
-  std::size_t max_bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
   // Incremented under the *entry* mutex, not mu_, hence atomic.
   std::atomic<std::uint64_t> builds_{0};
 };

@@ -12,17 +12,6 @@
 #include "geom/lattice.hpp"
 #include "sched/planner.hpp"
 
-namespace bsmp::sched {
-
-/// Resident bytes of a cached whole-computation plan (the PlanCache
-/// byte-budget hook): the object plus its op vector's capacity.
-template <int D>
-std::size_t plan_bytes(const Schedule<D>& s) {
-  return sizeof(s) + s.ops().capacity() * sizeof(Op<D>);
-}
-
-}  // namespace bsmp::sched
-
 namespace bsmp::engine {
 
 /// Key of a whole-computation plan for `st` under `cfg`.

@@ -297,8 +297,7 @@ RunManifest make_run_manifest(const std::string& name) {
   for (const char* knob : {"BSMP_TRACE", "BSMP_TRACE_BUFFER",
                            "BSMP_METRICS_DIR", "BSMP_VALIDATE",
                            "BSMP_PARALLEL_GRAIN", "BSMP_RELOC_GRAIN",
-                           "BSMP_WAVE_GRAIN", "BSMP_SIMD", "BSMP_ARENA",
-                           "BSMP_PLAN_CACHE_BYTES"})
+                           "BSMP_WAVE_GRAIN", "BSMP_SIMD"})
     m.knobs.emplace_back(knob, env_or(knob, "unset"));
   m.trace_events = events_recorded();
   m.trace_dropped = dropped();

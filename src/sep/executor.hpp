@@ -77,7 +77,6 @@
 
 #include "core/cost.hpp"
 #include "core/expect.hpp"
-#include "engine/arena.hpp"
 #include "engine/task.hpp"
 #include "engine/trace.hpp"
 #include "geom/region.hpp"
@@ -234,20 +233,10 @@ class Executor {
   template <class Store, class RuleFn>
   ExecDelta execute_delta(const geom::Region<D>& U, Store& staging,
                           core::ChargeLog& log, const RuleFn& rule) const {
-    // Leaf scratch from the calling thread's pool: forked callers
-    // (subtile bodies, executor child runs) land here once per fork,
-    // and the checkout makes their steady state allocation-free too.
-    engine::Scratch<LeafScratch> scratch;
     Ctx<Store, core::ChargeLog> cx;
     cx.staging = &staging;
     cx.ledger = &log;
-    cx.vals.swap(scratch->vals);
-    cx.off.swap(scratch->off);
-    cx.self_row.swap(scratch->self_row);
     exec_rec(U, cx, rule);
-    cx.vals.swap(scratch->vals);
-    cx.off.swap(scratch->off);
-    cx.self_row.swap(scratch->self_row);
     return ExecDelta{cx.vertices, cx.cur, cx.peak};
   }
 
@@ -275,20 +264,6 @@ class Executor {
   std::size_t peak_staging() const { return peak_staging_; }
 
  private:
-  /// The leaf scratch triple (dense window values + per-level prefix
-  /// offsets + the SIMD self-operand row) as one engine::Scratch<T>
-  /// pool unit, checked out per forked execution. clear() keeps
-  /// everything: LeafWindow sizes the vectors and fully writes the
-  /// live prefix before any read, so stale contents are unreachable
-  /// and dropping capacity is the only thing reset could cost.
-  struct LeafScratch {
-    std::vector<V> vals;
-    std::vector<std::size_t> off;
-    std::vector<V> self_row;
-
-    void clear() {}
-  };
-
   /// Access-function costs of one context, memoized by width: the
   /// charge factor f(S(w)) of a recursion node and f_leaf of a leaf
   /// are pure functions of the width w, and the widths at one
@@ -464,11 +439,8 @@ class Executor {
       const typename geom::Region<D>::Children& children, core::Cost fS,
       Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
     using Shard = StagingShard<D, V>;
-    // The fork's bookkeeping comes from the forking thread's scratch
-    // pools: the ChargeLog checkout here, the shard's local store via
-    // detail::shard_local, the leaf scratch inside the fork body.
     struct Forked {
-      engine::Scratch<core::ChargeLog> log;
+      core::ChargeLog log;
       ExecDelta delta;
       std::optional<Shard> shard;
     };
@@ -497,18 +469,11 @@ class Executor {
           Forked& fk = forks[k - i];
           const geom::Region<D>& child = children[k];
           scope.fork([this, &fk, &U, &child, fS, child_depth, &rule] {
-            engine::Scratch<LeafScratch> scratch;  // worker-thread pool
             Ctx<Shard, core::ChargeLog> sub;
             sub.staging = &*fk.shard;
-            sub.ledger = &*fk.log;
+            sub.ledger = &fk.log;
             sub.depth = child_depth;
-            sub.vals.swap(scratch->vals);
-            sub.off.swap(scratch->off);
-            sub.self_row.swap(scratch->self_row);
             exec_child(U, child, fS, sub, rule);
-            sub.vals.swap(scratch->vals);
-            sub.off.swap(scratch->off);
-            sub.self_row.swap(scratch->self_row);
             fk.delta = ExecDelta{sub.vertices, sub.cur, sub.peak};
           });
         }
@@ -517,7 +482,7 @@ class Executor {
                                        "shard-merge",
                                        static_cast<std::int64_t>(j - i));
         for (Forked& fk : forks) {
-          fk.log->replay_into(*cx.ledger);
+          fk.log.replay_into(*cx.ledger);
           fk.shard->merge_into(*cx.staging);
           if (cx.cur + fk.delta.peak > cx.peak)
             cx.peak = cx.cur + fk.delta.peak;

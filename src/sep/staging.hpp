@@ -3,15 +3,17 @@
 // The staging medium between domains is keyed by lattice points, and
 // a point's address is computable in O(1): the stencil's spatial grid
 // is fixed, so (x, t) maps to (node_index(x), t) — a slot in a
-// per-time-level slab of num_nodes words. StagingStore<D> stores
+// per-time-level buffer of num_nodes words. StagingStore<D> stores
 // values that way:
 //
-//   * one lazily-materialized slab per time level (values + liveness
-//     bytes), retired again when the level is pruned — so the resident
-//     footprint follows the executor's wavefront, not the volume;
+//   * one lazily-materialized buffer per time level (values + 0/1
+//     liveness bytes), freed again when the level is pruned — so the
+//     resident footprint follows the executor's wavefront, not the
+//     volume;
 //   * size() is the number of *live* words, maintained incrementally —
 //     what peak_staging() and the space-bound tests measure;
-//   * level_allocs() counts slab allocations for the hot-path metrics.
+//   * level_allocs() counts level materializations for the hot-path
+//     metrics.
 //
 // StagingStore is the one staging store: sep::Executor, the
 // simulators, and StagingShard (the per-fork overlay below, which
@@ -22,19 +24,15 @@
 // The store is generic over the per-point value type V (Word by
 // default; LaneBatch for SoA-batched guests — see sep/guest.hpp).
 // Liveness, size() and level accounting count *points* regardless of
-// V, so peak-staging and slab-allocation metrics are identical between
+// V, so peak-staging and level-allocation metrics are identical between
 // a scalar run and a 64-lane batched run.
 //
-// Slab memory comes from engine::Arena (BSMP_ARENA, default on), and
-// liveness is epoch-tagged: a slot is live iff its liveness byte equals
-// the level's current epoch, so recycling a slab — from the store's own
-// retired-level stack or the process-wide arena pool — never re-zeroes
-// the value words. With the arena off every slab is a fresh, fully
-// zeroed allocation (the seed behavior); either way the table bytes are
-// identical because values are only ever read through live marks.
+// A new level zeroes only its liveness bytes: values are read strictly
+// through live marks, so the value words start uninitialized.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "core/expect.hpp"
-#include "engine/arena.hpp"
 #include "geom/lattice.hpp"
 #include "geom/region.hpp"
 #include "sep/guest.hpp"
@@ -53,9 +50,9 @@ namespace bsmp::sep {
 template <int D, class V = Word>
 class StagingStore {
   static_assert(std::is_trivially_copyable_v<V>,
-                "level slabs treat V as raw bytes");
+                "level buffers treat V as raw bytes");
   static_assert(alignof(V) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                "arena slabs are operator-new aligned");
+                "level buffers are operator-new aligned");
 
  public:
   using value_type = V;
@@ -64,36 +61,8 @@ class StagingStore {
   explicit StagingStore(const geom::Stencil<D>* stencil)
       : st_(stencil) {
     BSMP_REQUIRE(stencil != nullptr);
-    nodes_ = st_->num_nodes();
+    nodes_ = static_cast<std::size_t>(st_->num_nodes());
     levels_.resize(static_cast<std::size_t>(st_->horizon));
-  }
-
-  ~StagingStore() {
-    for (Level& lv : levels_) engine::Arena::instance().release(lv.block);
-    for (Level& lv : free_) engine::Arena::instance().release(lv.block);
-  }
-
-  StagingStore(StagingStore&& o) noexcept
-      : st_(o.st_),
-        nodes_(o.nodes_),
-        levels_(std::move(o.levels_)),
-        free_(std::move(o.free_)),
-        live_(o.live_),
-        allocs_(o.allocs_) {
-    o.levels_.clear();
-    o.free_.clear();
-    o.live_ = 0;
-    o.allocs_ = 0;
-  }
-
-  StagingStore& operator=(StagingStore&& o) noexcept {
-    std::swap(st_, o.st_);
-    std::swap(nodes_, o.nodes_);
-    levels_.swap(o.levels_);
-    free_.swap(o.free_);
-    std::swap(live_, o.live_);
-    std::swap(allocs_, o.allocs_);
-    return *this;
   }
 
   bool contains(const geom::Point<D>& q) const {
@@ -103,11 +72,10 @@ class StagingStore {
   /// Pointer to the live value at q, or nullptr when q is absent (or
   /// not a vertex position at all).
   const V* find(const geom::Point<D>& q) const {
-    if (q.t < 0 || q.t >= st_->horizon) return nullptr;
-    const Level* lv = &levels_[static_cast<std::size_t>(q.t)];
-    if (lv->epoch == 0 || !st_->in_space(q.x)) return nullptr;
+    const Level* lv = present(q);
+    if (lv == nullptr) return nullptr;
     std::size_t s = slot(q.x);
-    return lv->live[s] == lv->epoch ? &lv->vals[s] : nullptr;
+    return lv->live[s] ? &lv->vals[s] : nullptr;
   }
 
   /// Pointer to n contiguous live values along the innermost dimension
@@ -116,36 +84,30 @@ class StagingStore {
   /// contiguous, so a live span IS a dense operand row — the SIMD leaf
   /// path hands it to a kernel without any per-cell staging copy.
   const V* row_span(const geom::Point<D>& q, std::size_t n) const {
-    if (q.t < 0 || q.t >= st_->horizon) return nullptr;
-    const Level* lv = &levels_[static_cast<std::size_t>(q.t)];
-    if (lv->epoch == 0 || !st_->in_space(q.x)) return nullptr;
+    const Level* lv = present(q);
+    if (lv == nullptr) return nullptr;
     if (q.x[D - 1] + static_cast<std::int64_t>(n) > st_->extent[D - 1])
       return nullptr;
     std::size_t s = slot(q.x);
     for (std::size_t i = 0; i < n; ++i)
-      if (lv->live[s + i] != lv->epoch) return nullptr;
+      if (!lv->live[s + i]) return nullptr;
     return &lv->vals[s];
   }
 
   /// Mutable value at q; asserts q is live.
   V& at(const geom::Point<D>& q) {
-    BSMP_REQUIRE(q.t >= 0 && q.t < st_->horizon && st_->in_space(q.x));
-    Level* lv = &levels_[static_cast<std::size_t>(q.t)];
-    BSMP_REQUIRE_MSG(lv->epoch != 0, "StagingStore::at on absent point");
-    std::size_t s = slot(q.x);
-    BSMP_REQUIRE_MSG(lv->live[s] == lv->epoch,
-                     "StagingStore::at on absent point");
-    return lv->vals[s];
+    BSMP_REQUIRE_MSG(find(q) != nullptr, "StagingStore::at on absent point");
+    return levels_[static_cast<std::size_t>(q.t)].vals[slot(q.x)];
   }
 
   /// Set the value at q (insert-or-overwrite); true when q was absent.
   bool insert(const geom::Point<D>& q, const V& v) {
-    BSMP_REQUIRE(q.t >= 0 && q.t < st_->horizon && st_->in_space(q.x));
+    BSMP_REQUIRE(in_layout(q));
     Level& lv = level(q.t);
     std::size_t s = slot(q.x);
-    bool added = lv.live[s] != lv.epoch;
+    bool added = !lv.live[s];
     if (added) {
-      lv.live[s] = lv.epoch;
+      lv.live[s] = 1;
       ++lv.nlive;
       ++live_;
     }
@@ -155,18 +117,18 @@ class StagingStore {
 
   /// Insert n contiguous values along the innermost dimension starting
   /// at q (src[i] lands on q + i*e_{D-1}); returns how many cells were
-  /// newly added. Semantically n insert() calls, with one slab lookup.
+  /// newly added. Semantically n insert() calls, with one level lookup.
   std::int64_t insert_span(const geom::Point<D>& q, const V* src,
                            std::size_t n) {
-    BSMP_REQUIRE(q.t >= 0 && q.t < st_->horizon && st_->in_space(q.x));
+    BSMP_REQUIRE(in_layout(q));
     BSMP_REQUIRE(q.x[D - 1] + static_cast<std::int64_t>(n) <=
                  st_->extent[D - 1]);
     Level& lv = level(q.t);
     std::size_t s = slot(q.x);
     std::int64_t added = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      added += lv.live[s + i] != lv.epoch;
-      lv.live[s + i] = lv.epoch;
+      added += !lv.live[s + i];
+      lv.live[s + i] = 1;
       lv.vals[s + i] = src[i];
     }
     lv.nlive += added;
@@ -177,23 +139,22 @@ class StagingStore {
   /// Remove q if live (no-op otherwise); true when a value was actually
   /// removed.
   bool erase(const geom::Point<D>& q) {
-    if (q.t < 0 || q.t >= st_->horizon || !st_->in_space(q.x)) return false;
-    Level* lv = &levels_[static_cast<std::size_t>(q.t)];
-    if (lv->epoch == 0) return false;
+    if (present(q) == nullptr) return false;
+    Level& lv = levels_[static_cast<std::size_t>(q.t)];
     std::size_t s = slot(q.x);
-    if (lv->live[s] != lv->epoch) return false;
-    lv->live[s] = 0;  // epochs start at 1, so 0 never reads live
-    --lv->nlive;
+    if (!lv.live[s]) return false;
+    lv.live[s] = 0;
+    --lv.nlive;
     --live_;
     return true;
   }
 
-  /// Ensure level t's slab is allocated (counted by level_allocs), as
+  /// Ensure level t is materialized (counted by level_allocs), as
   /// inserting into t would. Used when merging a StagingShard so the
-  /// slab-allocation metric matches a serial execution that touched a
+  /// level-allocation metric matches a serial execution that touched a
   /// level only with values erased again before the merge.
   void touch_level(std::int64_t t) {
-    if (t >= 0 && t < st_->horizon) level(t);
+    if (t >= 0 && t < horizon()) level(t);
   }
 
   /// The stencil fixing this store's address layout.
@@ -203,134 +164,75 @@ class StagingStore {
   /// the space-bound tests measure.
   std::size_t size() const { return live_; }
 
-  /// Drop every level with t < dead_below and t < keep_from, retiring
-  /// its slab (arena on: onto the store's recycle stack for a pure
-  /// epoch-bump reuse; off: back to the allocator). Levels are
-  /// all-or-nothing here because staleness is a pure function of t
+  /// Free every level with t < dead_below and t < keep_from. Levels
+  /// are all-or-nothing here because staleness is a pure function of t
   /// (see sim::detail::prune_staging).
   void prune_below(std::int64_t dead_below, std::int64_t keep_from) {
-    std::int64_t top = std::min(dead_below, keep_from);
-    top = std::min(top, st_->horizon);
+    const std::int64_t top = std::min({dead_below, keep_from, horizon()});
     for (std::int64_t t = 0; t < top; ++t) {
       Level& lv = levels_[static_cast<std::size_t>(t)];
-      if (lv.epoch == 0) continue;
       live_ -= static_cast<std::size_t>(lv.nlive);
-      if (engine::arena_enabled() && lv.block) {
-        free_.push_back(lv);
-        free_.back().nlive = 0;
-      } else {
-        engine::Arena::instance().release(lv.block);
-      }
       lv = Level{};
     }
   }
 
-  /// Forget every live value in O(levels): each present slab stays
-  /// bound to its level with a bumped epoch (no memset until the 8-bit
-  /// epoch wraps), ready for reuse. For pooled shard-local stores
-  /// (detail::shard_local); the stencil pointer is dropped — the store
-  /// is unusable until try_rebind installs a live one.
-  void reset_for_reuse() {
-    for (Level& lv : levels_) {
-      if (lv.epoch == 0) continue;
-      bump_epoch(lv);
-      lv.nlive = 0;
-    }
-    live_ = 0;
-    allocs_ = 0;
-    st_ = nullptr;
-  }
-
-  /// Rebind a reset store to a (possibly different) stencil with the
-  /// same slab geometry; false when the geometry differs and the
-  /// caller must construct fresh. Only layout equality matters
-  /// (num_nodes and horizon): a reset store holds no live values, so
-  /// an extent permutation cannot resurrect stale data.
-  bool try_rebind(const geom::Stencil<D>* stencil) {
-    BSMP_REQUIRE(stencil != nullptr);
-    if (stencil->num_nodes() != nodes_ ||
-        static_cast<std::size_t>(stencil->horizon) != levels_.size())
-      return false;
-    st_ = stencil;
-    return true;
-  }
-
-  /// Slab allocations performed so far (hot-path metric: a steady
-  /// state allocates one slab per newly-touched time level and nothing
-  /// else).
+  /// Level materializations performed so far (hot-path metric: a
+  /// steady state allocates one buffer per newly-touched time level
+  /// and nothing else).
   std::size_t level_allocs() const { return allocs_; }
 
   /// Visit every live (point, value) pair, t ascending then node order.
   template <class F>
   void for_each(F&& visit) const {
-    for (std::int64_t t = 0; t < st_->horizon; ++t) {
-      const Level* lv = &levels_[static_cast<std::size_t>(t)];
-      if (lv->epoch == 0 || lv->nlive == 0) continue;
+    for (std::int64_t t = 0; t < horizon(); ++t) {
+      const Level& lv = levels_[static_cast<std::size_t>(t)];
+      if (lv.nlive == 0) continue;
       geom::Point<D> p;
       p.t = t;
-      for (std::size_t s = 0; s < static_cast<std::size_t>(nodes_); ++s) {
-        if (lv->live[s] != lv->epoch) continue;
+      for (std::size_t s = 0; s < nodes_; ++s) {
+        if (!lv.live[s]) continue;
         unslot(s, p.x);
-        visit(p, lv->vals[s]);
+        visit(p, lv.vals[s]);
       }
     }
   }
 
  private:
-  /// One time level's slab: vals then live bytes inside one arena
-  /// block. epoch == 0 means the level is absent; otherwise slot s is
-  /// live iff live[s] == epoch, which is what lets a recycled slab skip
-  /// re-zeroing its value words.
+  /// One time level: nodes_ values followed by nodes_ liveness bytes
+  /// in one buffer; absent while buf is null.
   struct Level {
+    std::unique_ptr<std::byte[]> buf;
     V* vals = nullptr;
     std::uint8_t* live = nullptr;
     std::int64_t nlive = 0;
-    std::uint8_t epoch = 0;
-    engine::Arena::Block block;
   };
 
-  void bump_epoch(Level& lv) {
-    if (lv.epoch == 255) {
-      if (lv.live != nullptr)
-        std::memset(lv.live, 0, static_cast<std::size_t>(nodes_));
-      lv.epoch = 1;
-    } else {
-      ++lv.epoch;
-    }
+  /// Bounded by the level table, not the stencil, so a moved-from
+  /// store (no levels) reads as empty.
+  std::int64_t horizon() const {
+    return static_cast<std::int64_t>(levels_.size());
   }
 
-  std::size_t slab_bytes() const {
-    return static_cast<std::size_t>(nodes_) * (sizeof(V) + 1);
+  bool in_layout(const geom::Point<D>& q) const {
+    return q.t >= 0 && q.t < horizon() && st_->in_space(q.x);
+  }
+
+  /// q's level when q is a vertex position of a materialized level.
+  const Level* present(const geom::Point<D>& q) const {
+    if (q.t < 0 || q.t >= horizon()) return nullptr;
+    const Level& lv = levels_[static_cast<std::size_t>(q.t)];
+    return lv.buf && st_->in_space(q.x) ? &lv : nullptr;
   }
 
   Level& level(std::int64_t t) {
     Level& lv = levels_[static_cast<std::size_t>(t)];
-    if (lv.epoch != 0) return lv;
-    if (!free_.empty()) {
-      // Recycled retired level: stale marks carry dead epochs, so
-      // materialization is a pure epoch bump.
-      Level slab = free_.back();
-      free_.pop_back();
-      lv = slab;
-      bump_epoch(lv);
-    } else {
-      lv.block = engine::Arena::instance().acquire(slab_bytes());
-      if (lv.block) {
-        lv.vals = static_cast<V*>(lv.block.data);
-        lv.live = reinterpret_cast<std::uint8_t*>(lv.vals) +
-                  static_cast<std::size_t>(nodes_) * sizeof(V);
-        if (engine::arena_enabled()) {
-          // Arbitrary pool contents; only liveness needs resetting —
-          // values are read strictly through live marks.
-          std::memset(lv.live, 0, static_cast<std::size_t>(nodes_));
-        } else {
-          // Seed-faithful cold path: a fully zeroed fresh slab.
-          std::memset(lv.block.data, 0, lv.block.bytes);
-        }
-      }
-      lv.epoch = 1;
-    }
-    lv.nlive = 0;
+    if (lv.buf) return lv;
+    lv.buf = std::make_unique_for_overwrite<std::byte[]>(nodes_ *
+                                                         (sizeof(V) + 1));
+    lv.vals = reinterpret_cast<V*>(lv.buf.get());
+    lv.live = reinterpret_cast<std::uint8_t*>(lv.buf.get() +
+                                              nodes_ * sizeof(V));
+    std::memset(lv.live, 0, nodes_);
     ++allocs_;
     return lv;
   }
@@ -350,9 +252,8 @@ class StagingStore {
   }
 
   const geom::Stencil<D>* st_;
-  std::int64_t nodes_ = 0;
+  std::size_t nodes_ = 0;
   std::vector<Level> levels_;
-  std::vector<Level> free_;  // retired slabs awaiting an epoch-bump reuse
   std::size_t live_ = 0;
   std::size_t allocs_ = 0;
 };
@@ -479,65 +380,14 @@ class LeafWindow {
 //
 // The shard also records which time levels it inserted into (even if
 // every value there was erased again) so merge_into can pre-touch the
-// matching slabs of the base: StagingStore::level_allocs() then counts
-// exactly the slabs a serial execution would have allocated.
+// matching levels of the base: StagingStore::level_allocs() then counts
+// exactly the levels a serial execution would have materialized.
 //
 // A shard answers the same find/row_span/insert/insert_span/erase/size
 // calls as StagingStore, so the executor and the multiproc simulator
 // run one code path over either. A shard over a shard is the same
 // type, so template nesting over fork depth is bounded.
 // ---------------------------------------------------------------------
-
-namespace detail {
-
-/// Per-thread cache of retired shard-local stores, so the Nth fork on
-/// a thread reuses the (N-1)th fork's slabs instead of
-/// re-materializing them. The constructor primes the arena's thread
-/// cache first: the pool's destructor releases slabs, and priming
-/// guarantees the cache it releases into dies later.
-template <int D, class V>
-struct ShardStorePool {
-  static constexpr std::size_t kCap = 16;
-
-  ShardStorePool() { engine::Arena::instance().prime_thread(); }
-
-  std::vector<StagingStore<D, V>> stores;
-};
-
-template <int D, class V>
-inline ShardStorePool<D, V>& shard_store_pool() {
-  thread_local ShardStorePool<D, V> pool;
-  return pool;
-}
-
-template <int D, class V>
-inline StagingStore<D, V> shard_local(const StagingStore<D, V>& s) {
-  if (engine::arena_enabled()) {
-    auto& pool = shard_store_pool<D, V>().stores;
-    while (!pool.empty()) {
-      StagingStore<D, V> cand = std::move(pool.back());
-      pool.pop_back();
-      if (cand.try_rebind(s.stencil())) {
-        engine::Arena::instance().note_scratch(false);
-        return cand;
-      }
-      // Geometry mismatch: drop it (its slabs return to the arena).
-    }
-  }
-  engine::Arena::instance().note_scratch(true);
-  return StagingStore<D, V>(s.stencil());
-}
-
-template <int D, class V>
-inline void shard_retire(StagingStore<D, V>&& s) {
-  if (!engine::arena_enabled()) return;
-  auto& pool = shard_store_pool<D, V>().stores;
-  if (pool.size() >= ShardStorePool<D, V>::kCap) return;
-  s.reset_for_reuse();
-  pool.push_back(std::move(s));
-}
-
-}  // namespace detail
 
 /// Tag selecting StagingShard's overlay constructors. Without it the
 /// overlay-on-parent form would have the signature of a copy
@@ -557,21 +407,16 @@ class StagingShard {
 
   /// Overlay directly on the base store.
   StagingShard(overlay_t, const StagingStore<D, V>& base)
-      : base_(&base), parent_(nullptr), local_(detail::shard_local(base)) {}
+      : base_(&base), parent_(nullptr), local_(base.stencil()) {}
 
   /// Overlay on another shard (a fork within a fork).
   StagingShard(overlay_t, const StagingShard& parent)
       : base_(parent.base_),
         parent_(&parent),
-        local_(detail::shard_local(*parent.base_)) {}
+        local_(parent.base_->stencil()) {}
 
   StagingShard(const StagingShard&) = delete;
   StagingShard& operator=(const StagingShard&) = delete;
-
-  /// Hand the local store back to the calling thread's shard-store
-  /// pool (arena on): the next fork here reuses its slabs with a
-  /// bumped epoch instead of materializing cold ones.
-  ~StagingShard() { detail::shard_retire(std::move(local_)); }
 
   const V* find(const geom::Point<D>& q) const {
     if (const V* v = local_.find(q)) return v;

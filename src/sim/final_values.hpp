@@ -46,9 +46,6 @@ class FinalValues {
   /// Number of final points: nodes × written cells.
   std::size_t size() const { return vals_.size(); }
 
-  /// Allocated value slots (the PlanCache byte hook reads this).
-  std::size_t capacity() const { return vals_.capacity(); }
-
   /// Memory cells written within the horizon: min(m, T).
   std::int64_t cells() const { return cells_; }
 

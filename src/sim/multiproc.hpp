@@ -58,7 +58,6 @@
 
 #include "core/expect.hpp"
 #include "core/logmath.hpp"
-#include "engine/arena.hpp"
 #include "engine/trace.hpp"
 #include "geom/tiling.hpp"
 #include "machine/clocks.hpp"
@@ -262,17 +261,6 @@ class MultiprocSimulator {
     std::size_t resident = 0, cross = 0;
     core::ChargeLog pre, body;
     Delta delta{};
-
-    /// engine::Scratch<T> reset hook: forget the step, keep the charge
-    /// logs' buffers for the next checkout.
-    void clear() {
-      sub.reset();
-      pr = 0;
-      resident = cross = 0;
-      pre.clear();
-      body.clear();
-      delta = Delta{};
-    }
   };
 
   /// One end-of-wave clock barrier (plus its emitted op).
@@ -408,7 +396,7 @@ class MultiprocSimulator {
                                    static_cast<std::int64_t>(forks.size()));
     if (cx.log != nullptr) {
       for (Fork& fk : forks) {
-        for (PhaseStep& step : *fk.log)
+        for (PhaseStep& step : fk.log)
           cx.log->push_back(std::move(step));
         fk.shard->merge_into(*cx.store);
       }
@@ -417,7 +405,7 @@ class MultiprocSimulator {
     const std::size_t base = staging_.size();
     std::int64_t cum = 0;
     for (Fork& fk : forks) {
-      replay_phase_log(*fk.log, base, cum);
+      replay_phase_log(fk.log, base, cum);
       fk.shard->merge_into(staging_);
     }
   }
@@ -477,7 +465,7 @@ class MultiprocSimulator {
       const geom::Region<D>& r,
       const typename geom::Region<D>::Children& children, PhaseCtx<S>& cx) {
     struct Fork {
-      engine::Scratch<PhaseLog> log;  // pooled on the forking thread
+      PhaseLog log;
       std::optional<Shard> shard;
     };
     auto uppers = [&r](const geom::Region<D>& child) {
@@ -501,7 +489,7 @@ class MultiprocSimulator {
           Fork& fk = forks[k - i];
           const geom::Region<D>& child = children[k];
           scope.fork([this, &fk, &child] {
-            PhaseCtx<Shard> sub{&*fk.shard, &*fk.log};
+            PhaseCtx<Shard> sub{&*fk.shard, &fk.log};
             relocate_child(child, sub);
           });
         }
@@ -519,7 +507,7 @@ class MultiprocSimulator {
   void exec_tilewave_forked(const TileWave& wave, std::size_t k,
                             double rdist) {
     struct Fork {
-      engine::Scratch<PhaseLog> log;  // pooled on the forking thread
+      PhaseLog log;
       std::optional<Shard> shard;
     };
     std::vector<Fork> forks(wave.size());
@@ -532,7 +520,7 @@ class MultiprocSimulator {
         engine::trace::Span tile_span(engine::trace::Cat::kSim,
                                       "machine-tile", tile.width(),
                                       static_cast<std::int64_t>(k));
-        PhaseCtx<Shard> cx{&*fk.shard, &*fk.log};
+        PhaseCtx<Shard> cx{&*fk.shard, &fk.log};
         charge_relocation_ctx(cx, preboundary_words(tile), rdist);
         relocate_rec(tile, cx);
       });
@@ -735,7 +723,7 @@ class MultiprocSimulator {
   void exec_wave_forked(const std::vector<geom::Region<D>>& wave,
                         PhaseCtx<S>& cx) {
     struct Fork {
-      engine::Scratch<SubtileStep> step;  // pooled on the forking thread
+      SubtileStep step;
       std::optional<Shard> shard;
     };
     std::vector<Fork> forks(wave.size());
@@ -745,14 +733,14 @@ class MultiprocSimulator {
       Fork& fk = forks[i];
       const geom::Region<D>& sub = wave[i];
       scope.fork(
-          [this, &fk, &sub] { make_subtile_step(sub, *fk.shard, *fk.step); });
+          [this, &fk, &sub] { make_subtile_step(sub, *fk.shard, fk.step); });
     }
     scope.join();
     engine::trace::Span merge_span(engine::trace::Cat::kTask, "shard-merge",
                                    static_cast<std::int64_t>(wave.size()));
     if (cx.log != nullptr) {
       for (Fork& fk : forks) {
-        cx.log->push_back(std::move(*fk.step));
+        cx.log->push_back(std::move(fk.step));
         fk.shard->merge_into(*cx.store);
       }
       return;
@@ -760,7 +748,7 @@ class MultiprocSimulator {
     const std::size_t base = staging_.size();
     std::int64_t cum = 0;
     for (Fork& fk : forks) {
-      merge_subtile_step(*fk.step, base, cum);
+      merge_subtile_step(fk.step, base, cum);
       fk.shard->merge_into(staging_);
     }
   }

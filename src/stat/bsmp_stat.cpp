@@ -505,9 +505,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         << "                      [--require-comparable] <baseline.json> "
            "<candidate.json>\n"
         << "       bsmp-stat fit <metrics.json>\n"
-        << "artifacts: bsmp-metrics-v1..v4 reports and google-benchmark\n"
+        << "artifacts: bsmp-metrics-v1..v5 reports and google-benchmark\n"
         << "--benchmark_out files are auto-detected; anything else is\n"
-        << "refused. fit reads the v4 per-pass calibration_points.\n"
+        << "refused. fit reads the per-pass calibration_points (v4+).\n"
         << "exit codes: 0 ok/cleanly-skipped, 1 regression, 2 usage or\n"
         << "file error, 3 incomparable hardware under "
            "--require-comparable.\n";

@@ -23,7 +23,7 @@
 //           this the CI perf sentinel; a --report file that cannot be
 //           written is exit 2.
 //   fit   — least-squares per-mechanism, per-range constants from the
-//           metrics-v4 per-pass calibration_points array
+//           per-pass calibration_points array (metrics v4 and later)
 //           (analytic::MechanismCalibration), reported against the
 //           aggregate 3-constant fit on the same samples.
 //
@@ -94,8 +94,8 @@ struct DiffOptions {
 int run_diff(const Artifact& baseline, const Artifact& candidate,
              const DiffOptions& opt, std::ostream& os);
 
-/// `bsmp-stat fit`: per-mechanism constants from a metrics-v4
-/// artifact's calibration points.
+/// `bsmp-stat fit`: per-mechanism constants from a metrics (v4 or
+/// later) artifact's calibration points.
 int run_fit(const Artifact& a, std::ostream& os);
 
 /// Full CLI: argv[1] is the subcommand. Writes usage to `err` on

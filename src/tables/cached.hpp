@@ -12,17 +12,6 @@
 #include "sim/reference.hpp"
 #include "workload/rules.hpp"
 
-namespace bsmp::sim {
-
-/// Resident bytes of a cached reference run (the PlanCache byte-budget
-/// hook): the result plus its flat final-value array.
-template <int D, class V>
-std::size_t plan_bytes(const SimResult<D, V>& r) {
-  return sizeof(r) + r.final_values.capacity() * sizeof(V);
-}
-
-}  // namespace bsmp::sim
-
 namespace bsmp::tables {
 
 template <int D>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "analytic/fit.hpp"
 #include "core/args.hpp"
 #include "core/stats.hpp"
@@ -46,6 +48,20 @@ TEST(Args, TypeErrorsThrow) {
   EXPECT_THROW(a.get_int("n", 0), bsmp::precondition_error);
   auto b = parse({"--x", "1.5zz"});
   EXPECT_THROW(b.get_double("x", 0), bsmp::precondition_error);
+  // Empty values and out-of-range numbers are errors too, not 0 or a
+  // silently clamped extreme.
+  auto c = parse({"--n=", "--r="});
+  EXPECT_THROW(c.get_int("n", 7), bsmp::precondition_error);
+  EXPECT_THROW(c.get_double("r", 7), bsmp::precondition_error);
+  auto d = parse({"--n=99999999999999999999", "--m=-99999999999999999999",
+                  "--r=1e999"});
+  EXPECT_THROW(d.get_int("n", 0), bsmp::precondition_error);
+  EXPECT_THROW(d.get_int("m", 0), bsmp::precondition_error);
+  EXPECT_THROW(d.get_double("r", 0), bsmp::precondition_error);
+  // The limits themselves still parse.
+  auto e = parse({"--n=9223372036854775807", "--r=1e308"});
+  EXPECT_EQ(e.get_int("n", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(e.get_double("r", 0), 1e308);
 }
 
 TEST(Args, HasDistinguishesPresence) {

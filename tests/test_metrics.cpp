@@ -123,12 +123,6 @@ engine::MetricsReport sample_report() {
   pass.cache.hits = 7;
   pass.cache.misses = 3;
   pass.cache.builds = 3;
-  pass.cache.evictions = 2;
-  pass.cache.bytes = 4096;
-  pass.mem.cold_allocs = 11;
-  pass.mem.slab_reuses = 89;
-  pass.mem.scratch_checkouts = 13;
-  pass.mem.peak_bytes = 65536;
   engine::SweepMetric sm;
   sm.label = "sweep A";
   sm.points = 2;
@@ -156,30 +150,29 @@ TEST(Metrics, JsonSchemaContainsEveryStableField) {
   sample_report().write_json(os);
   const std::string j = os.str();
   for (const char* key :
-       {"\"schema\": \"bsmp-metrics-v4\"", "\"name\": \"unit\"",
+       {"\"schema\": \"bsmp-metrics-v5\"", "\"name\": \"unit\"",
         "\"speedup\"", "\"manifest\"", "\"git_sha\"", "\"build_type\"",
         "\"compiler\"", "\"hardware_threads\"", "\"num_cpus\"",
         "\"hostname\"", "\"simd_isa\"", "\"trace_compiled\"",
         "\"trace_enabled\"", "\"BSMP_TRACE\"", "\"BSMP_METRICS_DIR\"",
-        "\"BSMP_ARENA\"", "\"BSMP_PLAN_CACHE_BYTES\"",
         "\"threads\": 2", "\"seconds\"", "\"hits\": 7", "\"misses\": 3",
         "\"builds\": 3", "\"hit_rate\"", "\"label\": \"sweep A\"",
         "\"points\": 2", "\"pool_threads\": 2", "\"wall_s\"", "\"busy_s\"",
         "\"occupancy\"", "\"per_point\"", "\"queue_wait_s\"", "\"run_s\"",
         "\"label\": \"hot A\"", "\"vertices\": 1000",
         "\"vertices_per_sec\": 2000", "\"peak_staging_words\": 64",
-        "\"staging_allocs\": 4", "\"calibration_points\"",
-        "\"evictions\": 2", "\"bytes\": 4096", "\"mem\"",
-        "\"cold_allocs\": 11", "\"slab_reuses\": 89", "\"releases\": 0",
-        "\"scratch_checkouts\": 13", "\"scratch_cold\": 0",
-        "\"bytes_held\": 0", "\"bytes_live\": 0", "\"peak_bytes\": 65536"}) {
+        "\"staging_allocs\": 4", "\"calibration_points\""}) {
     EXPECT_NE(j.find(key), std::string::npos) << "missing " << key << "\n"
                                               << j;
+  }
+  // v5 drops the arena "mem" block and the cache residency fields.
+  for (const char* key : {"\"mem\"", "\"cold_allocs\"", "\"bytes\""}) {
+    EXPECT_EQ(j.find(key), std::string::npos) << "dropped key " << key;
   }
 }
 
 // Structural compatibility with v1: every v1 field keeps its exact
-// serialized name, so a consumer that indexes by key reads a v4
+// serialized name, so a consumer that indexes by key reads a v5
 // artifact unchanged, and later versions only add keys on top of it.
 TEST(Metrics, V2IsAStrictSupersetOfV1) {
   std::ostringstream os;
@@ -205,25 +198,23 @@ TEST(Metrics, V2IsAStrictSupersetOfV1) {
 
 // Structural compatibility one schema later: every v2 field keeps its
 // exact serialized name, and the v3 manifest additions
-// (num_cpus/hostname/simd_isa) stay. The one exception is v2's
+// (num_cpus/hostname/simd_isa) stay. The exceptions are v2's
 // span-derived per-pass "histograms" block, which v4 drops together
-// with v3's "attribution" block, so a pass holds exactly the v1..v4
-// pass keys.
+// with v3's "attribution" block, and v2's arena "mem" block, cache
+// residency fields and memory knobs, which v5 drops — so a pass holds
+// exactly the remaining v1..v5 pass keys.
 TEST(Metrics, V3IsAStrictSupersetOfV2) {
   std::ostringstream os;
   sample_report().write_json(os);
   const std::string j = os.str();
   // The v2 key set, as pinned by JsonSchemaContainsEveryStableField
-  // before the v3 migration, less the histograms block.
+  // before the v3 migration, less the blocks v4 and v5 dropped.
   for (const char* key :
        {"\"name\"", "\"speedup\"", "\"manifest\"", "\"git_sha\"",
         "\"build_type\"", "\"compiler\"", "\"hardware_threads\"",
         "\"trace_compiled\"", "\"trace_enabled\"", "\"BSMP_TRACE\"",
-        "\"BSMP_METRICS_DIR\"", "\"BSMP_ARENA\"",
-        "\"BSMP_PLAN_CACHE_BYTES\"", "\"threads\"", "\"seconds\"",
+        "\"BSMP_METRICS_DIR\"", "\"threads\"", "\"seconds\"",
         "\"cache\"", "\"hits\"", "\"misses\"", "\"builds\"", "\"hit_rate\"",
-        "\"evictions\"", "\"bytes\"", "\"mem\"", "\"cold_allocs\"",
-        "\"slab_reuses\"", "\"scratch_checkouts\"", "\"peak_bytes\"",
         "\"sweeps\"", "\"label\"", "\"points\"", "\"pool_threads\"",
         "\"wall_s\"", "\"busy_s\"", "\"occupancy\"", "\"per_point\"",
         "\"queue_wait_s\"", "\"run_s\"", "\"hot\"", "\"vertices\"",
@@ -236,6 +227,7 @@ TEST(Metrics, V3IsAStrictSupersetOfV2) {
   }
   EXPECT_EQ(j.find("\"histograms\""), std::string::npos) << j;
   EXPECT_EQ(j.find("\"attribution\""), std::string::npos) << j;
+  EXPECT_EQ(j.find("\"mem\""), std::string::npos) << j;
   auto parsed = core::json::parse(j);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   std::vector<std::string> pass_keys;
@@ -243,7 +235,7 @@ TEST(Metrics, V3IsAStrictSupersetOfV2) {
     pass_keys.push_back(member.first);
   EXPECT_EQ(pass_keys,
             (std::vector<std::string>{"threads", "seconds", "cache", "tasks",
-                                      "mem", "sweeps", "hot",
+                                      "sweeps", "hot",
                                       "calibration_points"}));
 }
 

@@ -1,8 +1,12 @@
 // The Proposition-2 executor: functional correctness against the
 // direct guest run, runtime topological-partition assertions, space
-// bounds, Proposition-3 cost conformance, and the leaf's charged event
-// counts against their closed form.
+// bounds, Proposition-3 cost conformance, the leaf's charged event
+// counts against their closed form, and the StagingStore level
+// lifecycle (prune, move, shard merge).
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "geom/figures.hpp"
 #include "geom/tiling.hpp"
@@ -286,4 +290,115 @@ TEST(Executor, LeafChargesMatchClosedFormD2) {
   EXPECT_EQ(closed_form_local_access(hot), 645312u);
   expect_closed_form_charges<2>({48, 48}, 48, 4);
   expect_closed_form_charges<2>({9, 13}, 21, 2);
+}
+
+// ---------------------------------------------------------------------
+// StagingStore levels: one owned buffer per materialized time level.
+// ---------------------------------------------------------------------
+
+namespace {
+
+geom::Stencil<1> line_stencil(std::int64_t w, std::int64_t horizon,
+                              std::int64_t m = 1) {
+  geom::Stencil<1> st;
+  st.extent = {w};
+  st.horizon = horizon;
+  st.m = m;
+  return st;
+}
+
+geom::Point<1> at1(std::int64_t x, std::int64_t t) {
+  geom::Point<1> p;
+  p.x = {x};
+  p.t = t;
+  return p;
+}
+
+std::vector<std::pair<geom::Point<1>, sep::Word>> contents(
+    const StagingStore<1>& s) {
+  std::vector<std::pair<geom::Point<1>, sep::Word>> out;
+  s.for_each([&](const geom::Point<1>& p, sep::Word v) {
+    out.emplace_back(p, v);
+  });
+  return out;
+}
+
+}  // namespace
+
+TEST(StagingStore, PrunedLevelRematerializesEmpty) {
+  auto st = line_stencil(16, 8);
+  StagingStore<1> s(&st);
+  for (std::int64_t x = 0; x < 16; ++x) s.insert(at1(x, 0), sep::Word(100 + x));
+  s.insert(at1(2, 1), sep::Word(7));
+  EXPECT_EQ(s.size(), 17u);
+  EXPECT_EQ(s.level_allocs(), 2u);
+
+  // Free level 0 and touch it again: no old value may read as live.
+  s.prune_below(1, 8);
+  EXPECT_EQ(s.size(), 1u);
+  s.insert(at1(3, 0), sep::Word(1));
+  EXPECT_EQ(s.level_allocs(), 3u);  // a re-materialization counts again
+  for (std::int64_t x = 0; x < 16; ++x) {
+    const sep::Word* v = s.find(at1(x, 0));
+    if (x == 3) {
+      ASSERT_NE(v, nullptr);
+      EXPECT_EQ(*v, sep::Word(1));
+    } else {
+      EXPECT_EQ(v, nullptr) << "pruned value resurrected at x=" << x;
+    }
+  }
+  EXPECT_EQ(contents(s),
+            (std::vector<std::pair<geom::Point<1>, sep::Word>>{
+                {at1(3, 0), sep::Word(1)}, {at1(2, 1), sep::Word(7)}}));
+}
+
+TEST(StagingStore, MovedFromStoreIsEmptyAndTargetKeepsValues) {
+  auto st = line_stencil(8, 2);
+  StagingStore<1> a(&st);
+  a.insert(at1(1, 0), sep::Word(4));
+  a.insert(at1(5, 1), sep::Word(6));
+
+  StagingStore<1> b(std::move(a));
+  EXPECT_EQ(a.find(at1(1, 0)), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(contents(a).empty());
+  ASSERT_NE(b.find(at1(1, 0)), nullptr);
+  EXPECT_EQ(*b.find(at1(1, 0)), sep::Word(4));
+  EXPECT_EQ(b.size(), 2u);
+
+  StagingStore<1> c(&st);
+  c.insert(at1(0, 0), sep::Word(9));
+  c = std::move(b);
+  EXPECT_EQ(b.find(at1(5, 1)), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(contents(b).empty());
+  EXPECT_EQ(c.find(at1(0, 0)), nullptr);  // the overwritten value is gone
+  ASSERT_NE(c.find(at1(5, 1)), nullptr);
+  EXPECT_EQ(*c.find(at1(5, 1)), sep::Word(6));
+  EXPECT_EQ(c.size(), 2u);
+}
+
+// A merged shard pre-touches every level it wrote, even one whose
+// values it erased again, so the base counts the same level
+// materializations as the same writes made directly to one store.
+TEST(StagingStore, ShardMergeKeepsLevelAllocsEqualToSerial) {
+  auto st = line_stencil(16, 6, 2);
+  StagingStore<1> serial(&st);
+  StagingStore<1> base(&st);
+  serial.insert(at1(0, 0), sep::Word(1));
+  base.insert(at1(0, 0), sep::Word(1));
+  auto write = [](auto& store, int round) {
+    store.insert(at1(1, 1), sep::Word(10 + round));
+    store.insert(at1(2, 4), sep::Word(20 + round));
+    store.insert(at1(3, 5), sep::Word(30 + round));
+    store.erase(at1(3, 5));
+  };
+  for (int round = 0; round < 3; ++round) {
+    write(serial, round);
+    sep::StagingShard<1> shard(sep::overlay, base);
+    write(shard, round);
+    shard.merge_into(base);
+  }
+  EXPECT_EQ(base.level_allocs(), 4u);  // levels 0, 1, 4 and 5, once each
+  EXPECT_EQ(base.level_allocs(), serial.level_allocs());
+  EXPECT_EQ(base.size(), 3u);  // (0,0), (1,1), (2,4)
+  EXPECT_EQ(contents(base), contents(serial));
 }

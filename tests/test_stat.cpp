@@ -218,7 +218,7 @@ TEST(Json, CommittedArtifactsParse) {
   for (const char* name :
        {"BENCH_exec_batch.json", "BENCH_exec_hotpath.json",
         "BENCH_exec_parallel.json", "BENCH_sim_scaling.json",
-        "BENCH_sweep_throughput.json", "tolerances.json"}) {
+        "tolerances.json"}) {
     auto p = json::parse_file(std::string(BSMP_BENCH_DIR) + "/" + name);
     EXPECT_TRUE(p.ok) << p.error;
   }
@@ -427,7 +427,7 @@ TEST(StatFit, ReadsCalibrationPointsTheSerializerWrites) {
 
   auto loaded = stat::load_artifact(path);
   ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.artifact.schema, "bsmp-metrics-v4");
+  EXPECT_EQ(loaded.artifact.schema, "bsmp-metrics-v5");
   std::ostringstream out;
   EXPECT_EQ(stat::run_fit(loaded.artifact, out), stat::kExitOk) << out.str();
   EXPECT_NE(out.str().find("over 4 training points (1 holdout)"),

@@ -148,11 +148,6 @@ TEST(TraceDeterminism, SpanSetIdenticalAcrossPoolAndGrain) {
 
 TEST(TraceDeterminism, DigestStableAcrossIdenticalRuns) {
   if (!trace::compiled()) GTEST_SKIP() << "BSMP_TRACE compiled out";
-  // Warm the arena first: cold slab acquisitions emit Cat::kTask
-  // instants ("arena-cold") that only the first run of a process
-  // records. The digest covers every event, so the two compared runs
-  // must be identically warm.
-  run_workload(1);
   trace::clear();
   trace::set_enabled(true);
   run_workload(1);
