@@ -56,12 +56,10 @@ class Planner {
     geom::TileGrid<D> grid(st_, cfg_.tile_width);
     for (const auto& wave : grid.wavefronts()) {
       for (const auto& tile : wave) {
-        emit_copy(sched, OpKind::kCopyIn,
-                  static_cast<std::int64_t>(tile.preboundary().size()),
+        emit_copy(sched, OpKind::kCopyIn, tile.preboundary_count(),
                   cfg_.machine_scale);
         plan_region(sched, tile);
-        emit_copy(sched, OpKind::kCopyOut,
-                  static_cast<std::int64_t>(tile.outset().size()),
+        emit_copy(sched, OpKind::kCopyOut, tile.outset_count(),
                   cfg_.machine_scale);
       }
     }
@@ -83,12 +81,9 @@ class Planner {
     }
     const double scale = space_bound(u.width());
     for (const geom::Region<D>& child : u.split()) {
-      emit_copy(sched, OpKind::kCopyIn,
-                static_cast<std::int64_t>(child.preboundary().size()),
-                scale);
+      emit_copy(sched, OpKind::kCopyIn, child.preboundary_count(), scale);
       plan_region(sched, child);
-      emit_copy(sched, OpKind::kCopyOut,
-                static_cast<std::int64_t>(child.outset().size()), scale);
+      emit_copy(sched, OpKind::kCopyOut, child.outset_count(), scale);
     }
   }
 

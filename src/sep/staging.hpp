@@ -149,6 +149,25 @@ class StagingStore {
     return true;
   }
 
+  /// Remove the live cells among the n contiguous ones along the
+  /// innermost dimension starting at q; returns how many were removed.
+  /// Semantically n erase() calls, with one level lookup.
+  std::int64_t erase_span(const geom::Point<D>& q, std::size_t n) {
+    if (present(q) == nullptr) return 0;
+    BSMP_REQUIRE(q.x[D - 1] + static_cast<std::int64_t>(n) <=
+                 st_->extent[D - 1]);
+    Level& lv = levels_[static_cast<std::size_t>(q.t)];
+    const std::size_t s = slot(q.x);
+    std::int64_t removed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      removed += lv.live[s + i];
+      lv.live[s + i] = 0;
+    }
+    lv.nlive -= removed;
+    live_ -= static_cast<std::size_t>(removed);
+    return removed;
+  }
+
   /// Ensure level t is materialized (counted by level_allocs), as
   /// inserting into t would. Used when merging a StagingShard so the
   /// level-allocation metric matches a serial execution that touched a
@@ -383,10 +402,11 @@ class LeafWindow {
 // matching levels of the base: StagingStore::level_allocs() then counts
 // exactly the levels a serial execution would have materialized.
 //
-// A shard answers the same find/row_span/insert/insert_span/erase/size
-// calls as StagingStore, so the executor and the multiproc simulator
-// run one code path over either. A shard over a shard is the same
-// type, so template nesting over fork depth is bounded.
+// A shard answers the same find/row_span/insert/insert_span/erase/
+// erase_span/size calls as StagingStore, so the executor and the
+// multiproc simulator run one code path over either. A shard over a
+// shard is the same type, so template nesting over fork depth is
+// bounded.
 // ---------------------------------------------------------------------
 
 /// Tag selecting StagingShard's overlay constructors. Without it the
@@ -443,6 +463,10 @@ class StagingShard {
   }
 
   bool erase(const geom::Point<D>& q) { return local_.erase(q); }
+
+  std::int64_t erase_span(const geom::Point<D>& q, std::size_t n) {
+    return local_.erase_span(q, n);
+  }
 
   /// Live values written locally (not the fall-through total): the
   /// executor tracks staging peaks via relative deltas, not sizes.

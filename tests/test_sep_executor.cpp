@@ -2,7 +2,7 @@
 // direct guest run, runtime topological-partition assertions, space
 // bounds, Proposition-3 cost conformance, the leaf's charged event
 // counts against their closed form, and the StagingStore level
-// lifecycle (prune, move, shard merge).
+// lifecycle (prune, move, shard merge, span erase).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -401,4 +401,28 @@ TEST(StagingStore, ShardMergeKeepsLevelAllocsEqualToSerial) {
   EXPECT_EQ(base.level_allocs(), serial.level_allocs());
   EXPECT_EQ(base.size(), 3u);  // (0,0), (1,1), (2,4)
   EXPECT_EQ(contents(base), contents(serial));
+}
+
+// erase_span removes the live cells of a run and skips the absent
+// ones, like one erase() per cell, on a store and on a shard.
+TEST(StagingStore, EraseSpanMatchesPointErases) {
+  auto st = line_stencil(16, 6, 2);
+  StagingStore<1> spans(&st);
+  StagingStore<1> points(&st);
+  for (int64_t x : {2, 3, 5, 6, 9}) {
+    spans.insert(at1(x, 2), sep::Word(x));
+    points.insert(at1(x, 2), sep::Word(x));
+  }
+  EXPECT_EQ(spans.erase_span(at1(3, 2), 4), 3);  // x = 3..6: 3, 5, 6 live
+  for (int64_t x = 3; x <= 6; ++x) points.erase(at1(x, 2));
+  EXPECT_EQ(contents(spans), contents(points));
+  EXPECT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans.erase_span(at1(0, 4), 16), 0);  // level never written
+
+  sep::StagingShard<1> shard(sep::overlay, spans);
+  shard.insert(at1(7, 3), sep::Word(1));
+  shard.insert(at1(8, 3), sep::Word(2));
+  EXPECT_EQ(shard.erase_span(at1(6, 3), 3), 2);
+  EXPECT_EQ(shard.size(), 0u);
+  EXPECT_NE(shard.find(at1(2, 2)), nullptr);  // base values untouched
 }

@@ -1,11 +1,14 @@
 // Further simulator behaviors: the Section-6 heterogeneous-memory
 // extension (guest m' < technology m), long horizons, d=3, and
-// cost-model sanity relations across schemes.
+// cost-model sanity relations across schemes, and the regime-2 strip
+// split and list replay the simulators rely on.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "analytic/tradeoff.hpp"
+#include "core/rng.hpp"
 #include "sim/dc_uniproc.hpp"
 #include "sim/multiproc.hpp"
 #include "sim/naive.hpp"
@@ -219,4 +222,90 @@ TEST(Multiproc, D2SlowdownTracksTheorem1Bound) {
     EXPECT_LT(ratios[2] - ratios[1], ratios[1] - ratios[0])
         << "d=2 ratio diverges (m=" << m << ")";
   }
+}
+
+// ---------------------------------------------------------------------
+// Regime 2 counts a subtile's preboundary words per memo-served run:
+// resident (in the home strip) vs crossing. The run counts must equal
+// classifying each point by x / s.
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <int D>
+void check_strip_split(const geom::Stencil<D>& st, std::int64_t s,
+                       std::uint64_t seed) {
+  constexpr int K = geom::kMono<D>;
+  core::SplitMix64 rng(seed);
+  int checked = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    // A width-s subtile box at a random offset (regime 2 cuts subtiles
+    // at macro-relative offsets, so any offset can occur); most of them
+    // straddle a strip edge.
+    std::array<std::int64_t, K> lo, hi;
+    for (int k = 0; k < K; ++k) {
+      const std::int64_t e = st.extent[k / 2] - 1;
+      const std::int64_t a = k % 2 == 0 ? 0 : -e;
+      const std::int64_t b = k % 2 == 0 ? st.horizon - 1 + e : st.horizon - 1;
+      lo[k] = a - s + 1 +
+              static_cast<std::int64_t>(rng.next_below(
+                  static_cast<std::uint64_t>(b - a + s)));
+      hi[k] = lo[k] + s;
+    }
+    geom::Region<D> sub(&st, lo, hi);
+    const auto fp = sub.first_point();
+    if (!fp) continue;
+    std::array<std::int64_t, D> home;
+    for (int i = 0; i < D; ++i) home[i] = fp->x[i] / s;
+    // The subtile's own strip, and a neighbor's (whole runs cross).
+    for (std::int64_t shift : {0, 1}) {
+      std::array<std::int64_t, D> h = home;
+      h[0] += shift;
+      std::size_t resident = 0, cross = 0;
+      sub.preboundary_visit([&](const geom::Point<D>& q) {
+        bool in = true;
+        for (int i = 0; i < D; ++i) in = in && q.x[i] / s == h[i];
+        ++(in ? resident : cross);
+      });
+      const sim::StripSplit got = sim::preboundary_strip_split<D>(sub, h, s);
+      ASSERT_EQ(got.resident, resident) << "D=" << D << " s=" << s;
+      ASSERT_EQ(got.cross, cross) << "D=" << D << " s=" << s;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
+}
+
+}  // namespace
+
+TEST(StripSplit, RunCountsEqualPerPointCounts) {
+  for (std::int64_t s : {1, 2, 3, 5}) {
+    for (std::int64_t m : {1, 3}) {
+      check_strip_split<1>(geom::Stencil<1>{{23}, 14, m}, s,
+                           static_cast<std::uint64_t>(s * 10 + m));
+      check_strip_split<2>(geom::Stencil<2>{{11, 9}, 8, m}, s,
+                           static_cast<std::uint64_t>(s * 10 + m + 100));
+    }
+  }
+}
+
+// A second identical run of an E3-sized config finds every boundary
+// list its first run met already stored: the only lists it walks again
+// are those over the cap. Both runs go on a fresh thread, whose memo
+// starts empty: entries left by earlier work can take replacement
+// turns from the first run's classes.
+TEST(RegionMemoRuns, SecondIdenticalRunMissesNoList) {
+  auto g = workload::make_mix_guest<1>({512}, 512, 1, 4);
+  geom::RegionMemoStats before, after;
+  core::Cost first = 0, second = 0;
+  std::thread([&] {
+    first = sim::simulate_dc_uniproc<1>(g, spec(1, 512, 1, 1)).ledger.total();
+    before = geom::Region<1>::memo_stats();
+    second = sim::simulate_dc_uniproc<1>(g, spec(1, 512, 1, 1)).ledger.total();
+    after = geom::Region<1>::memo_stats();
+  }).join();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(after.list_misses, before.list_misses);
+  EXPECT_GT(after.list_hits, before.list_hits);
+  EXPECT_GT(after.list_long, before.list_long);  // the root's lists
 }
