@@ -21,14 +21,16 @@
 // outset_count(), split() and the three boundary walks the simulators
 // replay per node (outset_runs(), retention_runs(), preboundary_runs())
 // are therefore served by a bounded per-thread memo keyed by
-// translation class (see "Translation-class memo" below); the *_direct
-// and *_spans forms compute from the box alone.
+// translation class (see "Translation-class memo" below), each also
+// through a Probe that carries one box's class from query to query;
+// the *_direct and *_spans forms compute from the box alone.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -43,7 +45,7 @@ struct RegionMemoStats {
   std::uint64_t hits = 0;    ///< count/split queries answered from an entry
   std::uint64_t misses = 0;  ///< count/split queries computed directly
   std::size_t entries = 0;   ///< translation classes stored now
-  std::uint64_t list_hits = 0;    ///< boundary walks replayed from runs
+  std::uint64_t list_hits = 0;    ///< boundary walks replayed from sweeps
   std::uint64_t list_misses = 0;  ///< walks computed on a class's first query
   std::uint64_t list_long = 0;    ///< walks of a class whose list is too long
 };
@@ -54,7 +56,9 @@ namespace detail {
 /// and served boundary walks: a fixed-capacity 4-way set-associative
 /// table, one per thread and dimension (see Region::memo_key for what a
 /// key is). It never grows: a new class landing in a full set replaces
-/// that set's ways in turn, freeing the replaced class's run lists.
+/// that set's ways in turn, freeing the replaced class's lists. Every
+/// insertion stamps its entry with a fresh number, so a Probe can tell
+/// whether the entry it saved still holds its class.
 template <int D>
 class RegionMemo {
  public:
@@ -66,57 +70,81 @@ class RegionMemo {
   static constexpr std::size_t kCapacity = kWays * kSets;
   using Key = std::array<std::int32_t, kKeyLen>;
 
-  /// The boundary walks an entry serves as run lists.
+  /// The boundary walks an entry serves as lists.
   enum Walk : int { kOutset, kRetention, kPreboundary, kWalks };
   /// One run: (dt, dx_0, ..., dx_{D-1}, dhi) from the box's anchor.
   static constexpr int kRunLen = D + 2;
-  /// Longest list stored; a longer one is walked directly on every
-  /// query. Peak RSS of perfbench's `repro` workload against 14.34 MB
-  /// without lists: cap 255 +27.5%, 64 +11.3%, 16 +5.5%, 8 +0.0%, at
-  /// the same speed within noise (doc/PERF.md §2 "Cap").
-  static constexpr int kMaxRuns = 8;
+  /// A stored field: a run term, a step term or a sweep's count.
+  using Field = std::int16_t;
+  /// One sweep: a first run, a step (the run-to-run difference) and a
+  /// count, standing for the runs first + j * step, j < count. The
+  /// count is stored as an unsigned 16-bit value.
+  static constexpr int kSweepLen = 2 * kRunLen + 1;
+  /// Most sweeps stored per list; a longer list is walked directly on
+  /// every query. Every d=1 list fits at widths up to 1024 (at most 12
+  /// sweeps at m <= 64); wide d=2 and d=3 lists do not (doc/PERF.md §2
+  /// "Cap").
+  static constexpr int kMaxSweeps = 16;
 
-  /// One walk's runs, on the stack of the walk that records or replays
-  /// them.
-  struct Runs {
+  /// One walk's sweeps, on the stack of the walk that records or
+  /// replays them.
+  struct Sweeps {
     int n = 0;
-    std::array<std::int32_t, kMaxRuns * kRunLen> v;
+    std::array<Field, kMaxSweeps * kSweepLen> v;
   };
 
-  /// Per walk: not computed yet, stored, or longer than kMaxRuns.
+  /// Per walk: not computed yet, stored, or longer than kMaxSweeps.
   enum class ListState : std::uint8_t { kUnknown, kStored, kTooLong };
 
   struct Entry {
     Key key{};
-    bool used = false;
-    bool split_known = false;  ///< kids is computed
-    std::array<ListState, kWalks> state{};
-    std::array<std::uint8_t, kWalks> n_runs{};  ///< runs stored per walk
+    std::uint64_t stamp = 0;  ///< set on insertion; 0: the slot is unused
     /// Bit c set: the child whose upper-half coordinates are the bits
     /// of mask c is nonempty.
     std::uint64_t kids = 0;
     std::int64_t pre = -1;  ///< preboundary count; -1: not computed yet
     std::int64_t out = -1;  ///< out-set count; -1: not computed yet
-    /// The stored lists back to back, in Walk order.
-    std::vector<std::int32_t> runs;
+    /// The stored lists back to back, in Walk order, in one block of
+    /// exactly their size.
+    std::unique_ptr<Field[]> lists;
+    std::array<ListState, kWalks> state{};
+    std::array<std::uint8_t, kWalks> n_sweeps{};  ///< per stored walk
+    bool split_known = false;  ///< kids is computed
 
-    /// Offset of walk w's list in `runs`.
+    /// Offset of walk w's list in `lists`.
     std::size_t offset(int w) const {
       std::size_t o = 0;
-      for (int j = 0; j < w; ++j) o += n_runs[j];
-      return o * kRunLen;
+      for (int j = 0; j < w; ++j) o += n_sweeps[j];
+      return o * kSweepLen;
     }
-    void load(int w, Runs& r) const {
-      r.n = n_runs[w];
-      std::copy_n(runs.begin() + static_cast<std::ptrdiff_t>(offset(w)),
-                  r.n * kRunLen, r.v.begin());
+    void load(int w, Sweeps& s) const {
+      s.n = n_sweeps[w];
+      std::copy_n(lists.get() + offset(w), s.n * kSweepLen, s.v.begin());
     }
-    void store(int w, const Runs& r) {
-      runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(offset(w)),
-                  r.v.begin(), r.v.begin() + r.n * kRunLen);
-      n_runs[w] = static_cast<std::uint8_t>(r.n);
+    void store(int w, const Sweeps& s) {
+      const std::size_t at = offset(w);
+      const std::size_t len = static_cast<std::size_t>(s.n) * kSweepLen;
+      if (len > 0) {
+        const std::size_t total = offset(kWalks);
+        auto block = std::make_unique_for_overwrite<Field[]>(total + len);
+        std::copy_n(lists.get(), at, block.get());
+        std::copy_n(s.v.begin(), len, block.get() + at);
+        std::copy_n(lists.get() + at, total - at, block.get() + at + len);
+        lists = std::move(block);
+      }
+      n_sweeps[w] = static_cast<std::uint8_t>(s.n);
       state[w] = ListState::kStored;
     }
+  };
+
+  /// One box's handle on its class (Region::Probe): the key, computed
+  /// once, and the entry the class was last found in, which holds it
+  /// only while the entry's stamp is still `stamp`.
+  struct Probe {
+    Key key;
+    bool keyed = false;  ///< false: a key term does not fit 32 bits
+    Entry* entry = nullptr;
+    std::uint64_t stamp = 0;
   };
 
   /// The entry of `key`, or null if absent; inserts nothing.
@@ -124,7 +152,7 @@ class RegionMemo {
     if (table_.empty()) return nullptr;
     Entry* ways = &table_[(hash(key) & (kSets - 1)) * kWays];
     for (std::size_t w = 0; w < kWays; ++w)
-      if (ways[w].used && ways[w].key == key) return &ways[w];
+      if (ways[w].stamp != 0 && ways[w].key == key) return &ways[w];
     return nullptr;
   }
 
@@ -138,8 +166,8 @@ class RegionMemo {
     Entry* ways = &table_[set * kWays];
     Entry* slot = nullptr;
     for (std::size_t w = 0; w < kWays; ++w) {
-      if (ways[w].used && ways[w].key == key) return ways[w];
-      if (!ways[w].used && slot == nullptr) slot = &ways[w];
+      if (ways[w].stamp != 0 && ways[w].key == key) return ways[w];
+      if (ways[w].stamp == 0 && slot == nullptr) slot = &ways[w];
     }
     if (slot != nullptr) {
       ++stats.entries;
@@ -149,13 +177,102 @@ class RegionMemo {
     }
     *slot = Entry{};
     slot->key = key;
-    slot->used = true;
+    slot->stamp = ++stamps_;
     return *slot;
+  }
+
+  /// The entry of a keyed probe's class: its saved entry while the
+  /// stamp matches, else found again by key (inserted empty if absent
+  /// and `insert`, else null) and saved in the probe.
+  Entry* resolve(Probe& p, bool insert) {
+    if (p.entry != nullptr && p.entry->stamp == p.stamp) return p.entry;
+    Entry* e = insert ? &find(p.key) : lookup(p.key);
+    p.entry = e;
+    p.stamp = e != nullptr ? e->stamp : 0;
+    return e;
+  }
+
+  /// Append run `v` to `s`. A run that continues the list's last run in
+  /// the same row extends it, splitting it off its sweep when the
+  /// sweep has more runs; a run that steps from the last sweep's last
+  /// run by the sweep's step (or is the second run of a one-run sweep)
+  /// joins that sweep; any other run starts a sweep. False when the
+  /// list outgrows kMaxSweeps or a stored field does not fit.
+  static bool record_run(std::array<std::int64_t, kRunLen> v, Sweeps& s) {
+    constexpr int L = kRunLen;
+    if (s.n > 0) {
+      Field* sw = &s.v[static_cast<std::size_t>((s.n - 1) * kSweepLen)];
+      const int count = static_cast<std::uint16_t>(sw[2 * L]);
+      std::array<std::int64_t, L> last;
+      for (int j = 0; j < L; ++j)
+        last[j] = sw[j] + std::int64_t{count - 1} * sw[L + j];
+      bool same_row = true;
+      for (int j = 0; j < D; ++j) same_row = same_row && last[j] == v[j];
+      if (same_row && last[L - 1] + 1 == v[D]) {
+        if (count == 1) {
+          if (!fits(v[L - 1])) return false;
+          sw[L - 1] = static_cast<Field>(v[L - 1]);
+          return true;
+        }
+        sw[2 * L] = static_cast<Field>(count - 1);
+        last[L - 1] = v[L - 1];
+        v = last;  // the split-off run, extended, starts a sweep
+      } else if (count < 0xffff) {
+        std::array<std::int64_t, L> step;
+        bool joins = true;
+        for (int j = 0; j < L; ++j) {
+          step[j] = count == 1 ? v[j] - sw[j] : sw[L + j];
+          joins = joins && fits(step[j]) && last[j] + step[j] == v[j];
+        }
+        if (joins) {
+          for (int j = 0; j < L; ++j) sw[L + j] = static_cast<Field>(step[j]);
+          sw[2 * L] = static_cast<Field>(count + 1);
+          return true;
+        }
+      }
+    }
+    if (s.n == kMaxSweeps) return false;
+    Field* sw = &s.v[static_cast<std::size_t>(s.n * kSweepLen)];
+    for (int j = 0; j < L; ++j) {
+      if (!fits(v[j])) return false;
+      sw[j] = static_cast<Field>(v[j]);
+      sw[L + j] = 0;
+    }
+    sw[2 * L] = 1;
+    ++s.n;
+    return true;
+  }
+
+  /// Replay `s` as runs f(p, hi) relative to anchor `a`, in recording
+  /// order.
+  template <class F>
+  static void replay(const Sweeps& s, const Point<D>& a, F& f) {
+    constexpr int L = kRunLen;
+    for (int k = 0; k < s.n; ++k) {
+      const Field* sw = &s.v[static_cast<std::size_t>(k * kSweepLen)];
+      Point<D> p;
+      p.t = a.t + sw[0];
+      for (int i = 0; i < D; ++i) p.x[i] = a.x[i] + sw[1 + i];
+      std::int64_t hi = a.x[D - 1] + sw[L - 1];
+      const int count = static_cast<std::uint16_t>(sw[2 * L]);
+      for (int j = 0;;) {
+        f(p, hi);
+        if (++j == count) break;
+        p.t += sw[L];
+        for (int i = 0; i < D; ++i) p.x[i] += sw[L + 1 + i];
+        hi += sw[2 * L - 1];
+      }
+    }
   }
 
   RegionMemoStats stats;
 
  private:
+  static bool fits(std::int64_t v) {
+    return v >= std::numeric_limits<Field>::min() &&
+           v <= std::numeric_limits<Field>::max();
+  }
+
   // The set index takes the low bits, and the low bits of a product
   // see only the low bits of its factors, so the final fmix64 step
   // (MurmurHash3) folds every key bit into them; without it the
@@ -174,6 +291,7 @@ class RegionMemo {
 
   std::vector<Entry> table_;
   std::vector<std::uint8_t> victim_;  ///< per set: the way replaced next
+  std::uint64_t stamps_ = 0;          ///< the last stamp handed out
 };
 
 }  // namespace detail
@@ -187,6 +305,13 @@ class Region {
   static constexpr int K = kMono<D>;
   /// split()'s children in a fixed-capacity inline array (2^K slots).
   using Children = RegionChildren<D>;
+  /// A box's handle on its translation class in this thread's memo
+  /// (from probe()): the key, computed once, and the entry it was last
+  /// found in. Pass it to every query of the same box on the same
+  /// thread; each use checks the entry's stamp and finds the class
+  /// again if the entry was replaced meanwhile, so a probe may outlive
+  /// any number of memo queries.
+  using Probe = typename detail::RegionMemo<D>::Probe;
 
   /// Box [lo_k, hi_k) in monotone coordinates over `stencil`'s vertex
   /// set. The stencil must outlive the region.
@@ -313,14 +438,27 @@ class Region {
     return std::vector<Region>(kids.begin(), kids.end());
   }
 
+  /// This box's class handle for the probe-taking queries below. It
+  /// computes the key and finds nothing yet: the first query does.
+  Probe probe() const {
+    Probe p;
+    p.keyed = memo_key(p.key);
+    return p;
+  }
+
   /// split() into a fixed-capacity inline array: no heap allocation.
   /// The executor and the regime-1 relocation recurse through this.
   void split_into(Children& out) const {
+    Probe p = probe();
+    split_into(out, p);
+  }
+
+  /// split_into() through `p`, this box's probe().
+  void split_into(Children& out, Probe& p) const {
     std::uint64_t kids;
-    typename Memo::Key key;
     Memo& memo = local_memo();
-    if (memo_key(key)) {
-      typename Memo::Entry& e = memo.find(key);
+    if (p.keyed) {
+      typename Memo::Entry& e = *memo.resolve(p, /*insert=*/true);
       // A hit implies a splittable box: the sizes are part of the key.
       if (!e.split_known) {
         e.kids = nonempty_children();
@@ -377,12 +515,19 @@ class Region {
   }
 
   /// preboundary_spans() served by the translation-class memo: a
-  /// class's first query walks the box and stores the runs; translates
-  /// replay them (merged where one run continues the last). `f` may do
-  /// anything but must not rely on the run boundaries.
+  /// class's first query walks the box and stores the runs as sweeps;
+  /// translates replay them (merged where one run continues the last).
+  /// `f` may do anything but must not rely on the run boundaries.
   template <class F>
   void preboundary_runs(F&& f) const {
-    served_runs<Memo::kPreboundary>(f);
+    Probe p = probe();
+    preboundary_runs(p, f);
+  }
+
+  /// preboundary_runs() through `p`, this box's probe().
+  template <class F>
+  void preboundary_runs(Probe& p, F&& f) const {
+    served_runs<Memo::kPreboundary>(p, f);
   }
 
   /// The preboundary as a vector (materializing form of
@@ -399,7 +544,13 @@ class Region {
   /// tests and, in validation mode, by every simulator that charges
   /// it).
   int64_t preboundary_count() const {
-    return memo_count(&Memo::Entry::pre,
+    Probe p = probe();
+    return preboundary_count(p);
+  }
+
+  /// preboundary_count() through `p`, this box's probe().
+  int64_t preboundary_count(Probe& p) const {
+    return memo_count(p, &Memo::Entry::pre,
                       [this] { return preboundary_count_direct(); });
   }
 
@@ -456,7 +607,14 @@ class Region {
   /// preboundary_runs).
   template <class F>
   void outset_runs(F&& f) const {
-    served_runs<Memo::kOutset>(f);
+    Probe p = probe();
+    outset_runs(p, f);
+  }
+
+  /// outset_runs() through `p`, this box's probe().
+  template <class F>
+  void outset_runs(Probe& p, F&& f) const {
+    served_runs<Memo::kOutset>(p, f);
   }
 
   /// The out-set as a vector (materializing form of outset_visit).
@@ -469,7 +627,13 @@ class Region {
   /// Out-set size, served by the translation-class memo (computed once
   /// per class by outset_count_direct()); equal to outset().size().
   int64_t outset_count() const {
-    return memo_count(&Memo::Entry::out,
+    Probe p = probe();
+    return outset_count(p);
+  }
+
+  /// outset_count() through `p`, this box's probe().
+  int64_t outset_count(Probe& p) const {
+    return memo_count(p, &Memo::Entry::out,
                       [this] { return outset_count_direct(); });
   }
 
@@ -536,16 +700,22 @@ class Region {
   /// children ran. Queries the memo for the split.
   template <class F>
   void retention_spans(F&& f) const {
-    Children kids;
-    split_into(kids);
-    for (const Region& child : kids) child.outset_spans_minus(*this, f);
+    Probe p = probe();
+    retention_spans(p, f);
   }
 
   /// retention_spans() served by the translation-class memo (see
   /// preboundary_runs).
   template <class F>
   void retention_runs(F&& f) const {
-    served_runs<Memo::kRetention>(f);
+    Probe p = probe();
+    retention_runs(p, f);
+  }
+
+  /// retention_runs() through `p`, this box's probe().
+  template <class F>
+  void retention_runs(Probe& p, F&& f) const {
+    served_runs<Memo::kRetention>(p, f);
   }
 
   /// Visit every point of the region at one time level.
@@ -617,9 +787,18 @@ class Region {
   // translates of each other, so a class also stores up to three run
   // lists (out-set, retention filter, preboundary) as offsets from the
   // box's anchor, and later translates replay them instead of running
-  // the interval code. A list longer than kMaxRuns is not stored; its
+  // the interval code. A list is stored as sweeps (see
+  // RegionMemo::record_run): the runs of a diamond's boundary advance
+  // row by row by a constant step, so a d=1 list takes at most 12
+  // sweeps at widths up to 1024. A list longer than kMaxSweeps is not
+  // stored, nor is one whose sweeps need a field past 16 bits; its
   // class walks directly on every query, and the list alone never
   // inserts the class (see record_runs).
+  //
+  // A Probe carries the key from one query of a box to the next, so a
+  // recursion node computes its key once and scans its set once; its
+  // later queries compare one stamp. The no-probe forms make a probe
+  // per query.
 
   static Memo& local_memo() {
     thread_local Memo memo;
@@ -678,105 +857,73 @@ class Region {
     return a;
   }
 
-  // Append run (p, hi) to `r` relative to anchor `a`, extending the
-  // last run when this one continues it in the same row; false when the
-  // list outgrows kMaxRuns or an offset does not fit 32 bits.
-  static bool record_run(const Point<D>& a, const Point<D>& p, int64_t hi,
-                         typename Memo::Runs& r) {
-    constexpr int L = Memo::kRunLen;
-    std::array<int64_t, L> v;
-    v[0] = p.t - a.t;
-    for (int i = 0; i < D; ++i) v[1 + i] = p.x[i] - a.x[i];
-    v[L - 1] = hi - a.x[D - 1];
-    for (int64_t c : v)
-      if (c < std::numeric_limits<std::int32_t>::min() ||
-          c > std::numeric_limits<std::int32_t>::max())
-        return false;
-    if (r.n > 0) {
-      std::int32_t* last = &r.v[static_cast<std::size_t>((r.n - 1) * L)];
-      bool same_row = true;
-      for (int j = 0; j < D; ++j) same_row = same_row && last[j] == v[j];
-      if (same_row && int64_t{last[L - 1]} + 1 == v[D]) {
-        last[L - 1] = static_cast<std::int32_t>(v[L - 1]);
-        return true;
-      }
-    }
-    if (r.n == Memo::kMaxRuns) return false;
-    for (int j = 0; j < L; ++j)
-      r.v[static_cast<std::size_t>(r.n * L + j)] =
-          static_cast<std::int32_t>(v[j]);
-    ++r.n;
-    return true;
-  }
-
-  // One served walk W. The class's list state decides: replay the
-  // stored runs, walk the box directly with `f` inlined (the list is too
-  // long, or the box has no key), or record the runs (the memo does not
-  // know the list yet). The runs are copied out before the replay and the
-  // recorder looks the entry up again after its walk, so no Entry&
-  // outlives a memo lookup and `f` may query the memo freely.
+  // One served walk W through probe `p`. The class's list state
+  // decides: replay the stored sweeps, walk the box directly with `f`
+  // inlined (the list is too long, or the box has no key), or record
+  // the sweeps (the memo does not know the list yet). The sweeps are
+  // copied out before the replay and the recorder resolves the probe
+  // again after its walk, so `f` may query the memo freely.
   template <int W, class F>
-  void served_runs(F& f) const {
+  void served_runs(Probe& p, F& f) const {
     using State = typename Memo::ListState;
-    typename Memo::Runs runs;
-    switch (list_state(W, runs)) {
-      case State::kStored: {
-        const Point<D> a = anchor();
-        constexpr int L = Memo::kRunLen;
-        Point<D> p;
-        for (int r = 0; r < runs.n; ++r) {
-          const std::int32_t* v = &runs.v[static_cast<std::size_t>(r * L)];
-          p.t = a.t + v[0];
-          for (int i = 0; i < D; ++i) p.x[i] = a.x[i] + v[1 + i];
-          f(p, a.x[D - 1] + v[L - 1]);
-        }
+    typename Memo::Sweeps sweeps;
+    switch (list_state(p, W, sweeps)) {
+      case State::kStored:
+        Memo::replay(sweeps, anchor(), f);
         return;
-      }
       case State::kUnknown: {
         const RunSink sink{const_cast<void*>(static_cast<const void*>(&f)),
-                           [](void* c, const Point<D>& p, int64_t hi) {
-                             (*static_cast<F*>(c))(p, hi);
+                           [](void* c, const Point<D>& q, int64_t hi) {
+                             (*static_cast<F*>(c))(q, hi);
                            }};
-        record_runs(W, sink);
+        record_runs(p, W, sink);
         return;
       }
       case State::kTooLong:
-        direct_spans<W>(f);
+        direct_spans<W>(p, f);
         return;
     }
   }
 
   template <int W, class F>
-  void direct_spans(F& f) const {
+  void direct_spans(Probe& p, F& f) const {
     if constexpr (W == Memo::kOutset)
       outset_spans(f);
     else if constexpr (W == Memo::kRetention)
-      retention_spans(f);
+      retention_spans(p, f);
     else
       preboundary_spans(f);
   }
 
-  // The state of the box's class's list for `walk`, its runs copied to
-  // `runs` when stored: kTooLong also when the box has no key, kUnknown
-  // also when its class is not in the memo. Counts the query in the
-  // memo's stats unless record_runs will. Out of line, like
-  // record_runs, so a caller inlines only the replay loop and its own
-  // direct walk: GCC's inlining budget is per translation unit, and
-  // the executor's leaf loop shares it (doc/PERF.md §2 "Payload").
+  // retention_spans() with the split served through `p`.
+  template <class F>
+  void retention_spans(Probe& p, F& f) const {
+    Children kids;
+    split_into(kids, p);
+    for (const Region& child : kids) child.outset_spans_minus(*this, f);
+  }
+
+  // The state of the box's class's list for `walk`, its sweeps copied
+  // to `sweeps` when stored: kTooLong also when the box has no key,
+  // kUnknown also when its class is not in the memo (which this does
+  // not insert). Counts the query in the memo's stats unless
+  // record_runs will. Out of line, like record_runs, so a caller
+  // inlines only the replay loop and its own direct walk: GCC's
+  // inlining budget is per translation unit, and the executor's leaf
+  // loop shares it (doc/PERF.md §2 "Payload").
   [[gnu::noinline]] typename Memo::ListState list_state(
-      int walk, typename Memo::Runs& runs) const {
+      Probe& p, int walk, typename Memo::Sweeps& sweeps) const {
     using State = typename Memo::ListState;
-    typename Memo::Key key;
     Memo& memo = local_memo();
-    if (!memo_key(key)) {
+    if (!p.keyed) {
       ++memo.stats.list_misses;
       return State::kTooLong;
     }
-    const typename Memo::Entry* e = memo.lookup(key);
+    const typename Memo::Entry* e = memo.resolve(p, /*insert=*/false);
     if (e == nullptr) return State::kUnknown;
     const State state = e->state[walk];
     if (state == State::kStored) {
-      e->load(walk, runs);
+      e->load(walk, sweeps);
       ++memo.stats.list_hits;
     } else if (state == State::kTooLong) {
       ++memo.stats.list_long;
@@ -793,34 +940,40 @@ class Region {
   };
 
   // A walk whose list the memo does not know: run it from the box,
-  // hand each run to `f`, and store the runs, inserting the class if it
-  // is absent. A list too long to store is marked in the class's entry
-  // if the class is there (a count or split query put it there) and
-  // otherwise inserts nothing: boxes whose lists never fit, such as
-  // wide regime-2 subtiles, would crowd counted classes out of their
-  // sets, and every later query of theirs walks directly anyway. The
-  // entry is looked up after the walk, which may query the memo itself.
-  [[gnu::noinline]] void record_runs(int walk, const RunSink& f) const {
+  // hand each run to `f`, and store the sweeps, inserting the class if
+  // it is absent. A list too long to store is marked in the class's
+  // entry if the class is there (a count or split query put it there)
+  // and otherwise inserts nothing: boxes whose lists never fit, such as
+  // wide d=2 regime-2 subtiles, would crowd counted classes out of
+  // their sets, and every later query of theirs walks directly anyway.
+  // The probe is resolved after the walk, which may query the memo
+  // itself.
+  [[gnu::noinline]] void record_runs(Probe& p, int walk,
+                                     const RunSink& f) const {
     const Point<D> a = anchor();
-    typename Memo::Runs runs;
+    typename Memo::Sweeps sweeps;
     bool fits = true;
-    auto record = [&](const Point<D>& p, int64_t hi) {
-      fits = fits && record_run(a, p, hi, runs);
-      f(p, hi);
+    auto record = [&](const Point<D>& q, int64_t hi) {
+      if (fits) {
+        std::array<int64_t, Memo::kRunLen> v;
+        v[0] = q.t - a.t;
+        for (int i = 0; i < D; ++i) v[1 + i] = q.x[i] - a.x[i];
+        v[Memo::kRunLen - 1] = hi - a.x[D - 1];
+        fits = Memo::record_run(v, sweeps);
+      }
+      f(q, hi);
     };
     if (walk == Memo::kOutset)
       outset_spans(record);
     else if (walk == Memo::kRetention)
-      retention_spans(record);
+      retention_spans(p, record);
     else
       preboundary_spans(record);
-    typename Memo::Key key;
-    memo_key(key);
     Memo& memo = local_memo();
     if (fits) {
       ++memo.stats.list_misses;
-      memo.find(key).store(walk, runs);
-    } else if (typename Memo::Entry* e = memo.lookup(key)) {
+      memo.resolve(p, /*insert=*/true)->store(walk, sweeps);
+    } else if (typename Memo::Entry* e = memo.resolve(p, /*insert=*/false)) {
       ++memo.stats.list_misses;
       e->state[walk] = Memo::ListState::kTooLong;
     } else {
@@ -828,17 +981,17 @@ class Region {
     }
   }
 
-  // One memoized count: the entry's field, computed by `direct` on the
-  // class's first query.
+  // One memoized count through probe `p`: the entry's field, computed
+  // by `direct` on the class's first query.
   template <class F>
-  int64_t memo_count(int64_t Memo::Entry::*field, F&& direct) const {
-    typename Memo::Key key;
+  int64_t memo_count(Probe& p, int64_t Memo::Entry::*field,
+                     F&& direct) const {
     Memo& memo = local_memo();
-    if (!memo_key(key)) {
+    if (!p.keyed) {
       ++memo.stats.misses;
       return direct();
     }
-    typename Memo::Entry& e = memo.find(key);
+    typename Memo::Entry& e = *memo.resolve(p, /*insert=*/true);
     if (e.*field < 0) {
       e.*field = direct();
       ++memo.stats.misses;

@@ -29,8 +29,10 @@
 // replaying Region::retention_runs(); leaves stage their out-set from
 // Region::outset_runs(). Counts, children and both run lists come from
 // Region's translation-class memo, so each shape is computed once, not
-// once per node (a run list too long to store is walked directly);
-// leaves run in a dense window
+// once per node (a run list too long to store is walked directly).
+// Each node makes one Region::Probe and passes it to all of these
+// queries, so it computes its memo key once and scans the memo's set
+// once; leaves run in a dense window
 // (sep/staging.hpp LeafWindow: per-time-level prefix offset + row-
 // major x offset) instead of a hash map, with per-leaf batched
 // kCompute and a bit-exact kLocalAccess charge stream; every vertex is
@@ -159,6 +161,7 @@ template <int D, class V = Word>
 class Executor {
  public:
   using value_type = V;
+  using Probe = typename geom::Region<D>::Probe;
 
   Executor(const BasicGuest<D, V>* guest, ExecutorConfig cfg)
       : guest_(guest), cfg_(cfg) {
@@ -212,7 +215,16 @@ class Executor {
   /// StagingShard<D, V> over one for forked callers.
   template <class Store>
   void execute(const geom::Region<D>& U, Store& staging) {
-    execute_with_rule(U, staging, guest_->rule);
+    Probe probe = U.probe();
+    execute_root(U, probe, staging, guest_->rule);
+  }
+
+  /// execute() for a caller that queries U's memo answers itself:
+  /// `probe` is U.probe(), shared by the caller's queries and the
+  /// recursion's root.
+  template <class Store>
+  void execute(const geom::Region<D>& U, Probe& probe, Store& staging) {
+    execute_root(U, probe, staging, guest_->rule);
   }
 
   /// Fast path: identical to execute(), with the leaf loop specialized
@@ -221,21 +233,8 @@ class Executor {
   template <class Store, class RuleFn>
   void execute_with_rule(const geom::Region<D>& U, Store& staging,
                          const RuleFn& rule) {
-    BSMP_REQUIRE(ledger_ != nullptr);
-    const std::size_t base = staging.size();
-    Ctx<Store, core::CostLedger> cx;
-    cx.staging = &staging;
-    cx.ledger = ledger_;
-    // Hand the executor's persistent leaf scratch to the root context
-    // so steady-state serial execution stays allocation-free.
-    cx.vals.swap(leaf_vals_);
-    cx.off.swap(leaf_off_);
-    cx.self_row.swap(leaf_self_);
-    exec_rec(U, cx, rule);
-    cx.vals.swap(leaf_vals_);
-    cx.off.swap(leaf_off_);
-    cx.self_row.swap(leaf_self_);
-    absorb(ExecDelta{cx.vertices, cx.cur, cx.peak}, base);
+    Probe probe = U.probe();
+    execute_root(U, probe, staging, rule);
   }
 
   /// Concurrency-safe execution for forked callers: run U with charges
@@ -250,7 +249,8 @@ class Executor {
     Ctx<Store, core::ChargeLog> cx;
     cx.staging = &staging;
     cx.ledger = &log;
-    exec_rec(U, cx, rule);
+    Probe probe = U.probe();
+    exec_rec(U, probe, cx, rule);
     return ExecDelta{cx.vertices, cx.cur, cx.peak};
   }
 
@@ -278,6 +278,27 @@ class Executor {
   std::size_t peak_staging() const { return peak_staging_; }
 
  private:
+  /// The body of execute() and execute_with_rule().
+  template <class Store, class RuleFn>
+  void execute_root(const geom::Region<D>& U, Probe& probe, Store& staging,
+                    const RuleFn& rule) {
+    BSMP_REQUIRE(ledger_ != nullptr);
+    const std::size_t base = staging.size();
+    Ctx<Store, core::CostLedger> cx;
+    cx.staging = &staging;
+    cx.ledger = ledger_;
+    // Hand the executor's persistent leaf scratch to the root context
+    // so steady-state serial execution stays allocation-free.
+    cx.vals.swap(leaf_vals_);
+    cx.off.swap(leaf_off_);
+    cx.self_row.swap(leaf_self_);
+    exec_rec(U, probe, cx, rule);
+    cx.vals.swap(leaf_vals_);
+    cx.off.swap(leaf_off_);
+    cx.self_row.swap(leaf_self_);
+    absorb(ExecDelta{cx.vertices, cx.cur, cx.peak}, base);
+  }
+
   /// Access-function costs of one context, memoized by width: the
   /// charge factor f(S(w)) of a recursion node and f_leaf of a leaf
   /// are pure functions of the width w, and the widths at one
@@ -354,13 +375,14 @@ class Executor {
     }
   };
 
+  /// One recursion node U, whose probe() is `probe`.
   template <class Store, class Ledger, class RuleFn>
-  void exec_rec(const geom::Region<D>& U, Ctx<Store, Ledger>& cx,
-                const RuleFn& rule) const {
+  void exec_rec(const geom::Region<D>& U, Probe& probe,
+                Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
     if (U.width() <= cfg_.leaf_width) {
       engine::trace::Span leaf_span(engine::trace::Cat::kSepRegion,
                                     "sep-leaf", U.width(), cx.depth);
-      execute_leaf(U, cx, rule);
+      execute_leaf(U, probe, cx, rule);
       cx.note();
       return;
     }
@@ -372,7 +394,7 @@ class Executor {
           return cfg_.f(static_cast<std::uint64_t>(space_bound(w)));
         });
     typename geom::Region<D>::Children children;
-    U.split_into(children);
+    U.split_into(children, probe);
     ++cx.depth;
     if (should_fork(U)) {
       exec_children_forked(U, children, fS, cx, rule);
@@ -388,7 +410,7 @@ class Executor {
     // out-sets, minus U's out-set: retention_runs replays it from U's
     // translation class, so past a class's first node the filter
     // costs one run per staged row.
-    U.retention_runs([&](const geom::Point<D>& q, std::int64_t hi) {
+    U.retention_runs(probe, [&](const geom::Point<D>& q, std::int64_t hi) {
       cx.erase_span(q, hi);
     });
     if (cfg_.validate) {
@@ -400,15 +422,18 @@ class Executor {
     cx.note();
   }
 
-  /// One child of a recursion node: Proposition 2's three steps.
+  /// One child of a recursion node: Proposition 2's three steps. The
+  /// child's probe serves all of its memo queries, here and in its own
+  /// recursion node or leaf.
   template <class Store, class Ledger, class RuleFn>
   void exec_child(const geom::Region<D>& U, const geom::Region<D>& child,
                   core::Cost fS, Ctx<Store, Ledger>& cx,
                   const RuleFn& rule) const {
+    Probe probe = child.probe();
     // Step 1: bring the child's preboundary into the child's working
     // space. Presence in staging is exactly the topological-partition
     // property.
-    const std::int64_t gin = child.preboundary_count();
+    const std::int64_t gin = child.preboundary_count(probe);
     if (cfg_.validate)
       validate_preboundary(child, *cx.staging, U.width(), gin);
     cx.ledger->charge(core::CostKind::kBlockMove,
@@ -416,14 +441,14 @@ class Executor {
                       static_cast<std::uint64_t>(gin));
 
     // Step 2: execute the child.
-    exec_rec(child, cx, rule);
+    exec_rec(child, probe, cx, rule);
 
     // Step 3: save the child's out-set for later children / parent.
     // Leaf children just walked their out-set to stage results;
     // their tally is the same value outset_count() recomputes.
     const std::int64_t child_out = child.width() <= cfg_.leaf_width
                                        ? cx.leaf_out
-                                       : child.outset_count();
+                                       : child.outset_count(probe);
     if (cfg_.validate) validate_outset_count(child, child_out);
     cx.ledger->charge(core::CostKind::kBlockMove,
                       2.0 * fS * static_cast<core::Cost>(child_out),
@@ -542,8 +567,8 @@ class Executor {
   static constexpr std::int64_t kMinSpan = 2;
 
   template <class Store, class Ledger, class RuleFn>
-  void execute_leaf(const geom::Region<D>& U, Ctx<Store, Ledger>& cx,
-                    const RuleFn& rule) const {
+  void execute_leaf(const geom::Region<D>& U, Probe& probe,
+                    Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
     const core::Cost f_leaf =
         cx.leaf_f.get(cx.depth, U.width(), [this](std::int64_t w) {
           return cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(w)));
@@ -600,7 +625,7 @@ class Executor {
                       static_cast<std::uint64_t>(executed));
     cx.vertices += executed;
 
-    cx.leaf_out = stage_outset(U, cx, win);
+    cx.leaf_out = stage_outset(U, probe, cx, win);
   }
 
   /// Stage the leaf's out-set from its dense window, one memo-served
@@ -609,10 +634,11 @@ class Executor {
   /// compiles around the scalar leaf loop.
   template <class Store, class Ledger>
   [[gnu::noinline]] std::int64_t stage_outset(const geom::Region<D>& U,
+                                              Probe& probe,
                                               Ctx<Store, Ledger>& cx,
                                               LeafWindow<D, V>& win) const {
     std::int64_t nout = 0;
-    U.outset_runs([&](const geom::Point<D>& q, std::int64_t hi) {
+    U.outset_runs(probe, [&](const geom::Point<D>& q, std::int64_t hi) {
       const std::int64_t len = hi - q.x[D - 1] + 1;
       cx.insert_span(q, &win[win.slot(q)], static_cast<std::size_t>(len));
       nout += len;

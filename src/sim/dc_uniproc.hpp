@@ -109,14 +109,16 @@ SimResult<D, V> simulate_dc_uniproc(const sep::BasicGuest<D, V>& guest,
                                     tile.width(),
                                     static_cast<std::int64_t>(k));
       // Tile preboundary comes from machine-scale memory (Prop. 2 at
-      // the top level of the recursion).
-      const std::int64_t gin = tile.preboundary_count();
+      // the top level of the recursion). One probe serves the tile's
+      // counts and the recursion's root.
+      typename geom::Region<D>::Probe probe = tile.probe();
+      const std::int64_t gin = tile.preboundary_count(probe);
       if (ecfg.validate) sep::validate_preboundary_count(tile, gin);
       res.ledger.charge(core::CostKind::kBlockMove,
                         2.0 * f_top * static_cast<core::Cost>(gin),
                         static_cast<std::uint64_t>(gin));
-      exec.execute(tile, staging);
-      const std::int64_t out = tile.outset_count();
+      exec.execute(tile, probe, staging);
+      const std::int64_t out = tile.outset_count(probe);
       if (ecfg.validate) sep::validate_outset_count(tile, out);
       res.ledger.charge(core::CostKind::kBlockMove,
                         2.0 * f_top * static_cast<core::Cost>(out),

@@ -238,8 +238,9 @@ class MultiprocSimulator {
           engine::trace::Span tile_span(engine::trace::Cat::kSim,
                                         "machine-tile", tile.width(),
                                         static_cast<std::int64_t>(k));
-          charge_relocation_ctx(cx, preboundary_words(tile), rdist);
-          relocate_rec(tile, cx);
+          Probe probe = tile.probe();
+          charge_relocation_ctx(cx, preboundary_words(tile, probe), rdist);
+          relocate_rec(tile, probe, cx);
         }
       }
       detail::prune_staging<D>(st, staging_, suffix_tmin[k + 1]);
@@ -271,6 +272,7 @@ class MultiprocSimulator {
   /// (a fork within a fork overlays the enclosing shard).
   using Store = sep::StagingStore<D, V>;
   using Shard = sep::StagingShard<D, V>;
+  using Probe = typename geom::Region<D>::Probe;
 
   // -------------------------------------------------------------------
   // Phase logs: the recorded side effects of one forked subtree. A
@@ -451,8 +453,10 @@ class MultiprocSimulator {
   // -------------------------------------------------------------------
 
   /// Regime 1: bisect down to macro width, charging relocations.
+  /// `probe` is r.probe(), shared with the caller's counts.
   template <class S>
-  void relocate_rec(const geom::Region<D>& r, PhaseCtx<S>& cx) {
+  void relocate_rec(const geom::Region<D>& r, Probe& probe,
+                    PhaseCtx<S>& cx) {
     if (r.width() <= macro_w_) {
       regime2(r, cx);
       return;
@@ -460,7 +464,7 @@ class MultiprocSimulator {
     engine::trace::Span span(engine::trace::Cat::kSim, "regime1-relocate",
                              r.width());
     typename geom::Region<D>::Children children;
-    r.split_into(children);
+    r.split_into(children, probe);
     if (reloc_parallel(r)) {
       relocate_children_forked(r, children, cx);
     } else {
@@ -471,21 +475,22 @@ class MultiprocSimulator {
   template <class S>
   void relocate_child(const geom::Region<D>& child, PhaseCtx<S>& cx) {
     double dist = relocation_distance(child.width());
-    charge_relocation_ctx(cx, preboundary_words(child), dist);
-    relocate_rec(child, cx);
-    charge_relocation_ctx(cx, outset_words(child), dist);
+    Probe probe = child.probe();
+    charge_relocation_ctx(cx, preboundary_words(child, probe), dist);
+    relocate_rec(child, probe, cx);
+    charge_relocation_ctx(cx, outset_words(child, probe), dist);
   }
 
-  /// Regime-1 boundary word counts, from the memo; validation mode
-  /// checks each against the materialized set.
-  std::size_t preboundary_words(const geom::Region<D>& r) const {
-    const std::int64_t n = r.preboundary_count();
+  /// Regime-1 boundary word counts, from the memo through r's probe;
+  /// validation mode checks each against the materialized set.
+  std::size_t preboundary_words(const geom::Region<D>& r, Probe& probe) const {
+    const std::int64_t n = r.preboundary_count(probe);
     if (exec_cfg_.validate) sep::validate_preboundary_count(r, n);
     return static_cast<std::size_t>(n);
   }
 
-  std::size_t outset_words(const geom::Region<D>& r) const {
-    const std::int64_t n = r.outset_count();
+  std::size_t outset_words(const geom::Region<D>& r, Probe& probe) const {
+    const std::int64_t n = r.outset_count(probe);
     if (exec_cfg_.validate) sep::validate_outset_count(r, n);
     return static_cast<std::size_t>(n);
   }
@@ -557,8 +562,9 @@ class MultiprocSimulator {
                                       "machine-tile", tile.width(),
                                       static_cast<std::int64_t>(k));
         PhaseCtx<Shard> cx{&*fk.shard, &fk.log};
-        charge_relocation_ctx(cx, preboundary_words(tile), rdist);
-        relocate_rec(tile, cx);
+        Probe probe = tile.probe();
+        charge_relocation_ctx(cx, preboundary_words(tile, probe), rdist);
+        relocate_rec(tile, probe, cx);
       });
     }
     scope.join();

@@ -3,6 +3,8 @@
 // the explicit dag on random instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -513,20 +515,48 @@ TEST(RegionMemo, RunListsSurviveReplacement) {
   EXPECT_GT(after.list_hits, before.list_hits);
 }
 
+namespace {
+
+/// Whether a run walk's runs fit one list of sweeps. They are recorded
+/// from the origin rather than a box's anchor, which moves every run by
+/// the same vector and so changes no step and no continuation.
+template <int D, class Walk>
+bool fits_sweeps(const Walk& walk) {
+  using Memo = geom::detail::RegionMemo<D>;
+  typename Memo::Sweeps sweeps;
+  bool fits = true;
+  walk([&](const Point<D>& q, int64_t hi) {
+    std::array<int64_t, Memo::kRunLen> v;
+    v[0] = q.t;
+    for (int i = 0; i < D; ++i) v[1 + i] = q.x[i];
+    v[Memo::kRunLen - 1] = hi;
+    fits = fits && Memo::record_run(v, sweeps);
+  });
+  return fits;
+}
+
+/// An interior d=2 octahedron of width 16 at m = 1: its retention list
+/// takes 73 sweeps, its out-set 29 and its preboundary 32, all over the
+/// cap.
+Region<2> wide_octahedron(const Stencil<2>& st) {
+  return Region<2>(&st, {40, -20, 40, -20}, {56, -4, 56, -4});
+}
+
+}  // namespace
+
 // A list longer than the cap is not stored: a class the memo holds (a
 // count query put it there, as the executor's do) marks it too long
 // and walks directly on every later query, with the same answer.
 TEST(RegionMemo, ListsOverTheCapWalkDirectly) {
-  using Memo = geom::detail::RegionMemo<1>;
-  Stencil<1> st{{256}, 256, 1};
-  const Region<1> big(&st, {200, -40}, {232, -8});  // interior, width 32
-  int runs = 0;
-  big.outset_spans([&](const Point<1>&, int64_t) { ++runs; });
-  ASSERT_GT(runs, Memo::kMaxRuns);
+  Stencil<2> st{{64, 64}, 64, 1};
+  const Region<2> big = wide_octahedron(st);
+  ASSERT_FALSE(fits_sweeps<2>([&](auto&& f) { big.outset_spans(f); }));
+  ASSERT_FALSE(fits_sweeps<2>([&](auto&& f) { big.retention_spans(f); }));
+  ASSERT_FALSE(fits_sweeps<2>([&](auto&& f) { big.preboundary_spans(f); }));
   ASSERT_GT(big.outset_count(), 0);
-  const geom::RegionMemoStats before = Region<1>::memo_stats();
+  const geom::RegionMemoStats before = Region<2>::memo_stats();
   EXPECT_EQ(runs_mismatch(big), "");
-  const geom::RegionMemoStats after = Region<1>::memo_stats();
+  const geom::RegionMemoStats after = Region<2>::memo_stats();
   // Three lists, each filled once and walked directly once more.
   EXPECT_EQ(after.list_hits, before.list_hits);
   EXPECT_EQ(after.list_misses - before.list_misses, 3u);
@@ -537,26 +567,197 @@ TEST(RegionMemo, ListsOverTheCapWalkDirectly) {
 // store: on a fresh thread, whose memo starts empty, the same box's
 // out-set and preboundary lists walk directly on every query.
 TEST(RegionMemo, LongListsInsertNoClass) {
-  Stencil<1> st{{256}, 256, 1};
-  const Region<1> big(&st, {200, -40}, {232, -8});
-  const auto out = run_points<1>([&](auto&& f) { big.outset_spans(f); });
-  const auto pre = run_points<1>([&](auto&& f) { big.preboundary_spans(f); });
+  Stencil<2> st{{64, 64}, 64, 1};
+  const Region<2> big = wide_octahedron(st);
+  const auto out = run_points<2>([&](auto&& f) { big.outset_spans(f); });
+  const auto pre = run_points<2>([&](auto&& f) { big.preboundary_spans(f); });
   geom::RegionMemoStats before, after;
   bool same = true;
   std::thread([&] {
-    before = Region<1>::memo_stats();
+    before = Region<2>::memo_stats();
     for (int i = 0; i < 2; ++i) {
       same = same &&
-             run_points<1>([&](auto&& f) { big.outset_runs(f); }) == out &&
-             run_points<1>([&](auto&& f) { big.preboundary_runs(f); }) == pre;
+             run_points<2>([&](auto&& f) { big.outset_runs(f); }) == out &&
+             run_points<2>([&](auto&& f) { big.preboundary_runs(f); }) == pre;
     }
-    after = Region<1>::memo_stats();
+    after = Region<2>::memo_stats();
   }).join();
   EXPECT_TRUE(same);
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.list_long - before.list_long, 4u);
   EXPECT_EQ(after.list_misses, before.list_misses);
   EXPECT_EQ(after.list_hits, before.list_hits);
+}
+
+// record_run's encoding, read back through replay: runs stepping by a
+// constant join one sweep, a same-row continuation splits the sweep's
+// last run off, a step too wide for a field starts a sweep, and a run
+// too wide for a field, or one sweep past the cap, makes the list too
+// long.
+TEST(RegionMemo, RecordRunSweepsAndFallbacks) {
+  using Memo = geom::detail::RegionMemo<1>;
+  using Run = std::array<int64_t, 3>;  // (dt, dx, dhi)
+  auto replayed = [](const Memo::Sweeps& s) {
+    std::vector<Run> runs;
+    auto f = [&](const Point<1>& p, int64_t hi) {
+      runs.push_back({p.t, p.x[0], hi});
+    };
+    Memo::replay(s, Point<1>{}, f);
+    return runs;
+  };
+  Memo::Sweeps s;
+  std::vector<Run> want = {{0, 0, 1}, {1, 1, 2}, {2, 2, 3}};
+  for (const Run& r : want) ASSERT_TRUE(Memo::record_run(r, s));
+  EXPECT_EQ(s.n, 1);
+  // (2, 4, 6) continues (2, 2, 3) in its row.
+  ASSERT_TRUE(Memo::record_run({2, 4, 6}, s));
+  want.back() = {2, 2, 6};
+  EXPECT_EQ(s.n, 2);
+  EXPECT_EQ(replayed(s), want);
+  // The merged run and the next form a two-run sweep.
+  ASSERT_TRUE(Memo::record_run({3, 3, 7}, s));
+  want.push_back({3, 3, 7});
+  EXPECT_EQ(s.n, 2);
+  // Both runs fit 16 bits, their step does not.
+  for (const Run& r : {Run{3, 30000, 30001}, Run{4, -30000, -29999}}) {
+    ASSERT_TRUE(Memo::record_run(r, s));
+    want.push_back(r);
+  }
+  EXPECT_EQ(s.n, 4);
+  EXPECT_EQ(replayed(s), want);
+  EXPECT_FALSE(Memo::record_run({5, 40000, 40001}, s));
+  Memo::Sweeps wide;
+  EXPECT_FALSE(Memo::record_run({int64_t{1} << 33, 0, 0}, wide));
+  // Runs (k, k^2, k^2) step by ever larger amounts: two per sweep.
+  Memo::Sweeps capped;
+  for (int64_t k = 0; k < 2 * Memo::kMaxSweeps; ++k)
+    ASSERT_TRUE(Memo::record_run({k, k * k, k * k}, capped)) << k;
+  EXPECT_EQ(capped.n, Memo::kMaxSweeps);
+  const int64_t k = 2 * Memo::kMaxSweeps;
+  EXPECT_FALSE(Memo::record_run({k, k * k, k * k}, capped));
+}
+
+// A probe outlives the replacement of its entry: queries of 2048 other
+// classes between its uses push its class out of the memo, and each
+// later use finds the class again, with the same counts, children and
+// lists.
+TEST(RegionMemo, StaleProbeRefindsItsClass) {
+  using Memo = geom::detail::RegionMemo<1>;
+  std::vector<Stencil<1>> stencils;
+  const int64_t classes = 2 * static_cast<int64_t>(Memo::kCapacity);
+  for (int64_t m = 1; m <= classes; ++m)
+    stencils.push_back(Stencil<1>{{64}, 64, m});
+  auto box = [&](std::size_t i) {
+    return Region<1>(&stencils[i], {40, -4}, {43, -1});
+  };
+  const Region<1> first = box(0);
+  const int64_t pre = first.preboundary_count_direct();
+  const int64_t out = first.outset_count_direct();
+  const std::vector<Region<1>> kids = first.split_direct();
+  const auto out_pts = run_points<1>([&](auto&& f) { first.outset_spans(f); });
+  const auto pre_pts = first.preboundary();
+  const auto ret_pts =
+      run_points<1>([&](auto&& f) { first.retention_spans(f); });
+  Region<1>::Probe probe = first.probe();
+  auto mismatch = [&]() -> std::string {
+    if (first.preboundary_count(probe) != pre) return "preboundary_count";
+    if (first.outset_count(probe) != out) return "outset_count";
+    Region<1>::Children got;
+    first.split_into(got, probe);
+    if (!same_children<1>(got, kids)) return "split_into";
+    if (run_points<1>([&](auto&& f) { first.outset_runs(probe, f); }) !=
+        out_pts)
+      return "outset_runs";
+    if (run_points<1>([&](auto&& f) { first.preboundary_runs(probe, f); }) !=
+        pre_pts)
+      return "preboundary_runs";
+    if (run_points<1>([&](auto&& f) { first.retention_runs(probe, f); }) !=
+        ret_pts)
+      return "retention_runs";
+    return "";
+  };
+  ASSERT_EQ(mismatch(), "");
+  std::uint64_t refills = 0;
+  for (std::size_t i = 1; i < stencils.size(); ++i) {
+    const Region<1> other = box(i);
+    ASSERT_EQ(other.preboundary_count(), other.preboundary_count_direct());
+    const std::uint64_t misses = Region<1>::memo_stats().misses;
+    ASSERT_EQ(mismatch(), "") << "after m=" << i + 1;
+    refills += Region<1>::memo_stats().misses - misses;
+  }
+  EXPECT_GT(refills, 0u) << "the probe's class was never replaced";
+}
+
+namespace {
+
+/// A run walk's runs with same-row continuations merged: two walks
+/// give equal lists iff they visit the same points in the same order,
+/// and the lists are short where the points are many.
+template <int D, class Walk>
+std::vector<std::pair<Point<D>, int64_t>> merged_runs(const Walk& walk) {
+  std::vector<std::pair<Point<D>, int64_t>> runs;
+  walk([&](const Point<D>& q, int64_t hi) {
+    if (!runs.empty()) {
+      auto& [p, last] = runs.back();
+      bool same_row = p.t == q.t;
+      for (int i = 0; i + 1 < D; ++i) same_row = same_row && p.x[i] == q.x[i];
+      if (same_row && last + 1 == q.x[D - 1]) {
+        last = hi;
+        return;
+      }
+    }
+    runs.push_back({q, hi});
+  });
+  return runs;
+}
+
+}  // namespace
+
+// Every d=1 list fits as sweeps: at each width 1..1024 and m in {1, 4,
+// 64}, for an interior box and boxes cut by t = 0 and x = 0, by the
+// right wall and by the horizon, every served list, filled and then
+// replayed, equals its direct walk point for point and in order, and
+// no query reads a list too long.
+TEST(RegionMemoSweeps, D1ListsFitAtEveryWidth) {
+  const geom::RegionMemoStats before = Region<1>::memo_stats();
+  for (int64_t m : {1, 4, 64}) {
+    const int64_t R = std::max<int64_t>(m, 2);
+    const int64_t n = 1024 + 4 * R + 16;  // extent and horizon
+    const Stencil<1> st{{n}, n, m};
+    const int64_t t0 = 2 * R + 2;
+    const int64_t x0 = n / 2;
+    for (int64_t w = 1; w <= 1024; ++w) {
+      const int64_t h = w / 2;
+      const std::array<std::array<int64_t, 2>, 4> corners = {{
+          {t0 + x0, t0 - x0},                      // interior
+          {-h, -h},                                // t = 0 and x = 0
+          {t0 + (n - 1) - h, t0 - (n - 1) - h},    // x = extent - 1
+          {(n - 1) + x0 - h, (n - 1) - x0 - h},    // the horizon
+      }};
+      for (const auto& lo : corners) {
+        const Region<1> r(&st, lo, {lo[0] + w, lo[1] + w});
+        auto served_twice = [&](const auto& served, const auto& direct) {
+          const auto want = merged_runs<1>(direct);
+          return merged_runs<1>(served) == want &&
+                 merged_runs<1>(served) == want;
+        };
+        ASSERT_TRUE(served_twice([&](auto&& f) { r.outset_runs(f); },
+                                 [&](auto&& f) { r.outset_spans(f); }))
+            << "outset: " << box_str(r);
+        ASSERT_TRUE(served_twice([&](auto&& f) { r.preboundary_runs(f); },
+                                 [&](auto&& f) { r.preboundary_spans(f); }))
+            << "preboundary: " << box_str(r);
+        if (w >= 2) {
+          ASSERT_TRUE(served_twice([&](auto&& f) { r.retention_runs(f); },
+                                   [&](auto&& f) { r.retention_spans(f); }))
+              << "retention: " << box_str(r);
+        }
+      }
+    }
+  }
+  const geom::RegionMemoStats after = Region<1>::memo_stats();
+  EXPECT_EQ(after.list_long, before.list_long);
+  EXPECT_GT(after.list_hits, before.list_hits);
 }
 
 namespace {

@@ -290,10 +290,11 @@ TEST(StripSplit, RunCountsEqualPerPointCounts) {
 }
 
 // A second identical run of an E3-sized config finds every boundary
-// list its first run met already stored: the only lists it walks again
-// are those over the cap. Both runs go on a fresh thread, whose memo
-// starts empty: entries left by earlier work can take replacement
-// turns from the first run's classes.
+// list its first run met already stored, and no list of either run is
+// too long to store: d=1 lists, the root's included, fit as sweeps.
+// Both runs go on a fresh thread, whose memo starts empty: entries left
+// by earlier work can take replacement turns from the first run's
+// classes.
 TEST(RegionMemoRuns, SecondIdenticalRunMissesNoList) {
   auto g = workload::make_mix_guest<1>({512}, 512, 1, 4);
   geom::RegionMemoStats before, after;
@@ -307,5 +308,6 @@ TEST(RegionMemoRuns, SecondIdenticalRunMissesNoList) {
   EXPECT_EQ(second, first);
   EXPECT_EQ(after.list_misses, before.list_misses);
   EXPECT_GT(after.list_hits, before.list_hits);
-  EXPECT_GT(after.list_long, before.list_long);  // the root's lists
+  EXPECT_EQ(before.list_long, 0u);
+  EXPECT_EQ(after.list_long, 0u);
 }
