@@ -1,9 +1,9 @@
 // SIMS — multi-core scaling of the full two-regime multiprocessor
 // simulator (sim::multiproc). No table emitter: the subject is the
-// simulator's own fork points — top-level machine-tile waves, regime-1
-// relocation runs, regime-2 subtile wavefronts, and the executor-leaf
-// forks nested inside subtile bodies — so this binary uses a custom
-// main instead of BSMP_BENCH_MAIN.
+// simulator's own fork points — top-level machine-tile waves and
+// regime-1 relocation runs; regime-2 subtile wavefronts and subtile
+// bodies run in order inside them — so this binary uses a custom main
+// instead of BSMP_BENCH_MAIN.
 //
 // What it does, in order:
 //
@@ -45,15 +45,11 @@ using namespace bsmp;
 
 namespace {
 
-// Fork every wavefront with at least two independent pieces; fork
-// relocation levels above 64-wide (d=1) / 4-wide (d=2) regions; fork
-// executor recursion above 16-wide regions inside subtile bodies (a
-// no-op for the d=2 case, whose subtiles are 4-wide — its parallelism
-// comes from the wavefronts).
+// Fork every machine-tile wavefront with at least two tiles; fork
+// relocation levels above 64-wide (d=1) / 4-wide (d=2) regions.
 constexpr std::int64_t kWaveGrain = 2;
 constexpr std::int64_t kRelocGrainD1 = 64;
 constexpr std::int64_t kRelocGrainD2 = 4;
-constexpr std::int64_t kExecGrain = 16;
 
 // At least two slots even on a single-core host, so the scheduler is
 // parallel() and the tN kernels really exercise the forked paths
@@ -105,14 +101,11 @@ struct SimOut {
 };
 
 /// One full two-regime simulation. grains_on routes the run through
-/// every fork point (machine-tile, regime1-relocate, regime2-wave,
-/// regime2-subtile via the embedded executor) — whether anything
+/// both fork points (machine-tile, regime1-relocate) — whether anything
 /// actually forks is then up to the ambient scheduler.
 template <int D>
 SimOut<D> run_sim(const sep::Guest<D>& g, const SimCase<D>& c,
                   bool grains_on, engine::Metrics* sink = nullptr) {
-  const std::int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(grains_on ? kExecGrain : 0);
   sim::MultiprocConfig cfg;
   cfg.s = c.s;
   cfg.reloc_grain = grains_on ? c.reloc_grain : 0;
@@ -127,7 +120,6 @@ SimOut<D> run_sim(const sep::Guest<D>& g, const SimCase<D>& c,
     out.peak = hot.back().peak_staging_words;
     out.allocs = hot.back().staging_allocs;
   }
-  sep::set_default_parallel_grain(saved);
   return out;
 }
 

@@ -249,8 +249,8 @@ struct MetricsPass {
 ///     ran) and the 64-bit lanes per vector op of that ISA.
 ///   * per-tasks "phases" — the same fork-join counters split by the
 ///     forking mechanism (engine::ForkPhase: "machine-tile",
-///     "regime1-relocate", "regime2-wave", "regime2-subtile",
-///     "executor-leaf", "none" for unattributed scopes), each with
+///     "regime1-relocate", "executor-leaf", "none" for unattributed
+///     scopes; older artifacts also carry "regime2-*"), each with
 ///     "spawned", "inlined", "join_waits" and "park_ns" (wall time
 ///     joins of that phase spent parked). Phases with all-zero
 ///     counters are omitted; the object itself is omitted when no

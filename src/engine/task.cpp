@@ -24,10 +24,6 @@ const char* fork_phase_name(ForkPhase p) {
       return "machine-tile";
     case ForkPhase::kRegime1Relocate:
       return "regime1-relocate";
-    case ForkPhase::kRegime2Wave:
-      return "regime2-wave";
-    case ForkPhase::kRegime2Subtile:
-      return "regime2-subtile";
     case ForkPhase::kExecutorLeaf:
       return "executor-leaf";
     case ForkPhase::kNone:

@@ -55,8 +55,6 @@ enum class ForkPhase : int {
   kNone = 0,             ///< unattributed scope (default TaskScope())
   kMachineTile,          ///< multiproc top-level machine-tile wavefronts
   kRegime1Relocate,      ///< regime-1 relocation subtrees
-  kRegime2Wave,          ///< regime-2 subtile wavefronts
-  kRegime2Subtile,       ///< executor forks inside a regime-2 subtile body
   kExecutorLeaf,         ///< standalone executor sibling-region forks
   kCount,
 };

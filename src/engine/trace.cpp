@@ -14,6 +14,8 @@
 #include <unistd.h>  // gethostname
 #endif
 
+#include "core/env.hpp"
+
 #ifndef BSMP_GIT_SHA
 #define BSMP_GIT_SHA "unknown"
 #endif
@@ -89,10 +91,7 @@ void json_string(std::ostream& os, std::string_view s) {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{[] {
-  const char* env = std::getenv("BSMP_TRACE");
-  return env != nullptr && std::strcmp(env, "0") != 0;
-}()};
+std::atomic<bool> g_enabled{core::env_bool("BSMP_TRACE", false)};
 
 namespace {
 
@@ -128,14 +127,8 @@ Registry& registry() {
 }
 
 std::size_t buffer_capacity() {
-  static const std::size_t cap = [] {
-    const char* env = std::getenv("BSMP_TRACE_BUFFER");
-    if (env != nullptr) {
-      long long v = std::atoll(env);
-      if (v >= 1024) return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(1) << 18;
-  }();
+  static const std::size_t cap = static_cast<std::size_t>(
+      core::env_int("BSMP_TRACE_BUFFER", std::int64_t{1} << 18, 1024));
   return cap;
 }
 

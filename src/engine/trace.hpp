@@ -143,7 +143,8 @@ void record(Cat cat, char ph, const char* name, std::uint64_t t0,
 }  // namespace detail
 
 /// Runtime gate: initialized from the BSMP_TRACE environment variable
-/// (on unless absent or "0"), toggled by tests via set_enabled().
+/// (a core::env_bool knob, off when unset), toggled by tests via
+/// set_enabled().
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }

@@ -1335,6 +1335,25 @@ class RegionChildren {
   const Region<D>* begin() const { return kids_; }
   const Region<D>* end() const { return kids_ + n_; }
 
+  /// Call f(i, j) for each maximal run [i, j) of children with equally
+  /// many monotone coordinates in `parent`'s upper half ("uppers"; the
+  /// split orders children by it). Two children of one run each have a
+  /// coordinate where they are upper and the other lower, and monotone
+  /// arcs only decrease coordinates, so a run is an antichain.
+  template <class F>
+  void for_each_equal_uppers_run(const Region<D>& parent, F&& f) const {
+    auto uppers = [&parent](const Region<D>& c) {
+      int u = 0;
+      for (int k = 0; k < kMono<D>; ++k) u += c.lo()[k] != parent.lo()[k];
+      return u;
+    };
+    for (std::size_t i = 0, j = 0; i < n_; i = j) {
+      j = i + 1;
+      while (j < n_ && uppers(kids_[j]) == uppers(kids_[i])) ++j;
+      f(i, j);
+    }
+  }
+
  private:
   friend class Region<D>;
   std::size_t n_ = 0;

@@ -121,11 +121,6 @@ struct ExecutorConfig {
   /// bit-identical either way. Defaults from
   /// sep::default_parallel_grain() (BSMP_PARALLEL_GRAIN).
   int64_t parallel_grain = default_parallel_grain();
-  /// Which mechanism this executor's forks are attributed to in the
-  /// per-phase task counters (metrics-v2 `tasks.phases`). Standalone
-  /// executors are "executor-leaf"; the multiproc simulator retags its
-  /// embedded executor as regime2-subtile.
-  engine::ForkPhase fork_phase = engine::ForkPhase::kExecutorLeaf;
 };
 
 /// Validation mode's check of a memoized boundary count (a charged
@@ -467,12 +462,8 @@ class Executor {
   }
 
   /// Execute the children of one recursion node, forking runs of
-  /// consecutive equal-uppers children. split() orders children by the
-  /// number of monotone coordinates taking the upper half ("uppers",
-  /// recomputed here from the lo corners); within an equal-uppers run,
-  /// any two children have a coordinate where one is upper and the
-  /// other lower, and monotone arcs only decrease coordinates — so
-  /// neither can feed the other and the run is an antichain. Each fork
+  /// consecutive equal-uppers children (antichains; see
+  /// geom::RegionChildren::for_each_equal_uppers_run). Each fork
   /// gets a StagingShard over cx's store and a private ChargeLog; the
   /// join then merges in canonical child order, reproducing the serial
   /// store state and charge sequence bit for bit.
@@ -487,18 +478,7 @@ class Executor {
       ExecDelta delta;
       std::optional<Shard> shard;
     };
-    auto uppers = [&U](const geom::Region<D>& child) {
-      int u = 0;
-      for (int k = 0; k < geom::Region<D>::K; ++k)
-        if (child.lo()[k] != U.lo()[k]) ++u;
-      return u;
-    };
-    std::size_t i = 0;
-    while (i < children.size()) {
-      std::size_t j = i + 1;
-      while (j < children.size() &&
-             uppers(children[j]) == uppers(children[i]))
-        ++j;
+    children.for_each_equal_uppers_run(U, [&](std::size_t i, std::size_t j) {
       if (j - i == 1) {
         // Singleton run: possibly a predecessor of later children —
         // execute in place so they see its out-set in cx's store.
@@ -507,7 +487,7 @@ class Executor {
         std::vector<Forked> forks(j - i);
         for (Forked& fk : forks) fk.shard.emplace(overlay, *cx.staging);
         const int child_depth = cx.depth;
-        engine::TaskScope scope(cfg_.fork_phase);
+        engine::TaskScope scope(engine::ForkPhase::kExecutorLeaf);
         for (std::size_t k = i; k < j; ++k) {
           Forked& fk = forks[k - i];
           const geom::Region<D>& child = children[k];
@@ -533,8 +513,7 @@ class Executor {
           cx.vertices += fk.delta.vertices;
         }
       }
-      i = j;
-    }
+    });
   }
 
   template <class Store>

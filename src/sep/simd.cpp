@@ -1,20 +1,16 @@
 #include "sep/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
+
+#include "core/env.hpp"
 
 namespace bsmp::sep::simd {
 
 namespace {
 
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("BSMP_SIMD");
-    if (env == nullptr) return true;
-    return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-           std::strcmp(env, "scalar") != 0;
-  }();
+  static std::atomic<bool> flag = core::env_bool("BSMP_SIMD", true);
   return flag;
 }
 

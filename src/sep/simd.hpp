@@ -30,8 +30,8 @@
 //     values, and the executor's charging never depends on how a value
 //     was computed — the CostLedger stream, charged totals, peak
 //     staging and every emitted table are unchanged by BSMP_SIMD;
-//   * selection: the BSMP_SIMD environment variable ("off"/"0"/
-//     "scalar" disables, anything else enables; see simd::enabled)
+//   * selection: the BSMP_SIMD environment variable (a core::env_bool
+//     knob, on when unset; see simd::enabled)
 //     picks the path at runtime, the BSMP_SIMD CMake option
 //     (-DBSMP_SIMD=OFF) compiles the vector path out entirely, and on
 //     x86-64 the kernels themselves are compiled as target_clones so
@@ -70,9 +70,9 @@
 namespace bsmp::sep::simd {
 
 /// Runtime SIMD switch. Defaults from the BSMP_SIMD environment
-/// variable at first use: "0", "off" or "scalar" (case-sensitive)
-/// force the scalar leaf loop; unset or anything else leaves the
-/// vector path on. Per-process, settable by tests and benches.
+/// variable at first use (core::env_bool): 0/off/false force the
+/// scalar leaf loop, unset or 1/on/true leave the vector path on, and
+/// any other value throws. Per-process, settable by tests and benches.
 bool enabled();
 
 /// Override the runtime switch (tests; the bench's side-by-side runs).

@@ -1,70 +1,44 @@
 #include "sep/staging.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+
+#include "core/env.hpp"
 
 namespace bsmp::sep {
 
 namespace {
 
 std::atomic<bool>& validation_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("BSMP_VALIDATE");
-    return env != nullptr && std::strcmp(env, "0") != 0;
-  }();
+  static std::atomic<bool> flag = core::env_bool("BSMP_VALIDATE", false);
   return flag;
 }
 
-std::int64_t parse_grain_env(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::int64_t{0};
-  char* end = nullptr;
-  long long v = std::strtoll(env, &end, 10);
-  if (end == env || v < 0) return std::int64_t{0};
-  return static_cast<std::int64_t>(v);
+enum Grain { kParallel, kReloc, kWave };
+
+std::atomic<std::int64_t>& grain_flag(Grain g) {
+  static std::atomic<std::int64_t> flags[] = {
+      core::env_int("BSMP_PARALLEL_GRAIN", 0),
+      core::env_int("BSMP_RELOC_GRAIN", 0),
+      core::env_int("BSMP_WAVE_GRAIN", 0)};
+  return flags[g];
 }
 
-std::atomic<std::int64_t>& grain_flag() {
-  static std::atomic<std::int64_t> flag = parse_grain_env("BSMP_PARALLEL_GRAIN");
-  return flag;
+std::int64_t load(Grain g) {
+  return grain_flag(g).load(std::memory_order_relaxed);
 }
 
-std::atomic<std::int64_t>& reloc_grain_flag() {
-  static std::atomic<std::int64_t> flag = parse_grain_env("BSMP_RELOC_GRAIN");
-  return flag;
-}
-
-std::atomic<std::int64_t>& wave_grain_flag() {
-  static std::atomic<std::int64_t> flag = parse_grain_env("BSMP_WAVE_GRAIN");
-  return flag;
+void store(Grain g, std::int64_t grain) {
+  grain_flag(g).store(grain < 0 ? 0 : grain, std::memory_order_relaxed);
 }
 
 }  // namespace
 
-std::int64_t default_parallel_grain() {
-  return grain_flag().load(std::memory_order_relaxed);
-}
-
-void set_default_parallel_grain(std::int64_t grain) {
-  grain_flag().store(grain < 0 ? 0 : grain, std::memory_order_relaxed);
-}
-
-std::int64_t default_reloc_grain() {
-  return reloc_grain_flag().load(std::memory_order_relaxed);
-}
-
-void set_default_reloc_grain(std::int64_t grain) {
-  reloc_grain_flag().store(grain < 0 ? 0 : grain, std::memory_order_relaxed);
-}
-
-std::int64_t default_wave_grain() {
-  return wave_grain_flag().load(std::memory_order_relaxed);
-}
-
-void set_default_wave_grain(std::int64_t grain) {
-  wave_grain_flag().store(grain < 0 ? 0 : grain, std::memory_order_relaxed);
-}
+std::int64_t default_parallel_grain() { return load(kParallel); }
+void set_default_parallel_grain(std::int64_t g) { store(kParallel, g); }
+std::int64_t default_reloc_grain() { return load(kReloc); }
+void set_default_reloc_grain(std::int64_t g) { store(kReloc, g); }
+std::int64_t default_wave_grain() { return load(kWave); }
+void set_default_wave_grain(std::int64_t g) { store(kWave, g); }
 
 bool validation_mode() {
   return validation_flag().load(std::memory_order_relaxed);

@@ -496,15 +496,20 @@ class StagingShard {
 };
 
 // ---------------------------------------------------------------------
-// Parallel grain: process-wide default for
-// ExecutorConfig::parallel_grain — the monotone width above which the
-// executor forks sibling child regions into the ambient
-// engine::TaskScheduler (0 disables forking). Defaults from the
-// BSMP_PARALLEL_GRAIN environment variable at process start (unset,
-// empty, or unparsable means 0); settable per run, and per executor
-// via ExecutorConfig::parallel_grain. Forked execution is bit-identical
-// to serial execution by construction, so flipping this knob never
-// changes an emitted byte — only wall clock and task metrics.
+// Fork grains: process-wide defaults, read at first use from the env
+// knob named with each (core/env.hpp; unset means 0 = never fork) and
+// settable per run or per config. Forked execution is bit-identical to
+// serial execution by construction, so no grain changes an emitted
+// byte — only wall clock and task metrics.
+//   * parallel grain (BSMP_PARALLEL_GRAIN): the monotone width above
+//     which a standalone executor forks sibling child regions
+//     (ExecutorConfig::parallel_grain);
+//   * reloc grain (BSMP_RELOC_GRAIN): the region width above which
+//     regime-1 relocation forks equal-uppers child runs
+//     (sim::MultiprocConfig::reloc_grain);
+//   * wave grain (BSMP_WAVE_GRAIN): the number of machine tiles at
+//     which a top-level wave forks (sim::MultiprocConfig::wave_grain;
+//     values below 2 behave as 2).
 // ---------------------------------------------------------------------
 
 /// Process-wide default for ExecutorConfig::parallel_grain.
@@ -512,18 +517,6 @@ std::int64_t default_parallel_grain();
 
 /// Override the process-wide default (tests; benches).
 void set_default_parallel_grain(std::int64_t grain);
-
-// ---------------------------------------------------------------------
-// Simulator fork grains, same contract and bit-identity guarantee as
-// the executor grain above (0 disables; env default at process start):
-//   * reloc grain (BSMP_RELOC_GRAIN): region width above which
-//     regime-1 relocation recursion forks independent equal-uppers
-//     child runs (sim::MultiprocConfig::reloc_grain);
-//   * wave grain (BSMP_WAVE_GRAIN): minimum antichain size (subtiles
-//     in a regime-2 wavefront, machine tiles in a top-level wave) at
-//     which the wave forks (sim::MultiprocConfig::wave_grain; values
-//     below 2 behave as 2 since a 1-wide wave has nothing to fork).
-// ---------------------------------------------------------------------
 
 /// Process-wide default for sim::MultiprocConfig::reloc_grain.
 std::int64_t default_reloc_grain();

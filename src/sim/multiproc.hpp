@@ -20,30 +20,27 @@
 //    link, and the subtile body runs through the separator executor
 //    (recursing to Theorem-3 executable diamonds of width m).
 //
-// Parallel execution (doc/ENGINE.md "Task layer"): every antichain in
-// the hierarchy above can fork into the ambient engine::TaskScheduler —
-// machine-tile wavefronts and regime-2 subtile wavefronts when the
-// wave has at least MultiprocConfig::wave_grain independent pieces,
-// and equal-uppers runs of regime-1 bisection children when the node
-// is wider than MultiprocConfig::reloc_grain (the embedded executor
-// additionally forks below the subtile per ExecutorConfig::
-// parallel_grain). Each fork runs against a private StagingShard and
-// records its side effects — relocation charges, subtile charge logs,
-// barriers — in a PhaseLog instead of touching the shared ledgers,
-// clocks, planner, or op stream. The join replays the logs in
-// canonical (fork) order on the calling thread, reproducing the serial
-// floating-point charge sequence, clock trajectory, staging trajectory
-// and emitted op stream bit for bit at any thread count.
+// Parallel execution (doc/ENGINE.md "Task layer"): two coarse
+// antichains fork into the ambient engine::TaskScheduler — top-level
+// machine-tile wavefronts with at least MultiprocConfig::wave_grain
+// tiles, and equal-uppers runs of regime-1 bisection children when the
+// node is wider than MultiprocConfig::reloc_grain. Regime-2 waves and
+// subtile bodies run in order inside whichever fork encloses them
+// (forking them too cost more in task bookkeeping than it returned;
+// doc/ENGINE.md "Fork points"). Each fork runs against a private
+// StagingShard and records its side effects — relocation charges,
+// subtile charge logs, barriers — in a PhaseLog instead of touching
+// the shared ledgers, clocks, planner, or op stream. The join replays
+// the logs in canonical (fork) order on the calling thread,
+// reproducing the serial floating-point charge sequence, clock
+// trajectory, staging trajectory and emitted op stream bit for bit at
+// any thread count.
 //
-// Per-op emission and forking: earlier revisions disabled forking for
-// the whole run whenever a ParallelSchedule emitter was attached,
-// because subtile op emission ran the planner inside the wave loop
-// against shared caches. Emission is now part of canonical-order
-// replay — the planner and the emitter only ever run on the joining
-// thread, after the forks completed, in exactly the serial order — so
-// no phase needs a per-emitter gate anymore: the per-phase grain knobs
-// are the only forking gates, and the emitted stream is byte-identical
-// whether a phase forked or not.
+// Op emission is part of that replay — the planner and the emitter
+// only ever run on the joining thread, after the forks completed, in
+// exactly the serial order — so the emitted stream is byte-identical
+// whether a phase forked or not, and the grain knobs are the only
+// forking gates.
 #pragma once
 
 #include <algorithm>
@@ -81,11 +78,10 @@ struct MultiprocConfig {
   /// bit-identical either way. Defaults from sep::default_reloc_grain()
   /// (BSMP_RELOC_GRAIN).
   std::int64_t reloc_grain = sep::default_reloc_grain();
-  /// Minimum number of independent pieces (subtiles of a regime-2
-  /// wavefront, machine tiles of a top-level wavefront) at which a wave
-  /// forks; 0 disables, values below 2 behave as 2. Bit-identical
-  /// either way. Defaults from sep::default_wave_grain()
-  /// (BSMP_WAVE_GRAIN).
+  /// Minimum number of machine tiles in a top-level wavefront at which
+  /// the wave forks; 0 disables, values below 2 behave as 2. Regime-2
+  /// subtile waves never fork. Bit-identical either way. Defaults from
+  /// sep::default_wave_grain() (BSMP_WAVE_GRAIN).
   std::int64_t wave_grain = sep::default_wave_grain();
   /// Opt-in hot-path observability (see DcConfig::metrics).
   engine::Metrics* metrics = nullptr;
@@ -166,9 +162,9 @@ class MultiprocSimulator {
     exec_cfg_.leaf_width = leaf_w_;
     exec_cfg_.f = host_.access_fn();
     exec_cfg_.space_const = cfg_.space_const;
-    // Executor forks happen inside a regime-2 subtile body here, so
-    // attribute them to that phase in the per-phase task counters.
-    exec_cfg_.fork_phase = engine::ForkPhase::kRegime2Subtile;
+    // Subtile bodies run serially; the machine-tile and relocation
+    // forks above them carry the parallelism.
+    exec_cfg_.parallel_grain = 0;
     exec_.emplace(guest_, exec_cfg_);
     ledgers_.resize(static_cast<std::size_t>(host_.p));
 
@@ -317,6 +313,12 @@ class MultiprocSimulator {
     PhaseLog* log = nullptr;
   };
 
+  /// One forked subtree: its recorded steps and its private overlay.
+  struct Fork {
+    PhaseLog log;
+    std::optional<Shard> shard;
+  };
+
   double relocation_distance(std::int64_t width) const {
     // After the pi2*pi1 rearrangement, transfers for a width-w domain
     // occur at distance w / p^(1/d) (Section 4.2), never below one.
@@ -367,9 +369,8 @@ class MultiprocSimulator {
     return s != nullptr && s->parallel();
   }
 
-  /// Fork a wave (regime-2 subtiles or top-level machine tiles) when
-  /// it has enough independent pieces and forks can actually run
-  /// concurrently.
+  /// Fork a top-level machine-tile wave when it has enough tiles and
+  /// forks can actually run concurrently.
   bool wave_parallel(std::size_t units) const {
     if (cfg_.wave_grain <= 0) return false;
     if (static_cast<std::int64_t>(units) <
@@ -428,7 +429,7 @@ class MultiprocSimulator {
   /// into the enclosing shard. At the root: replay each log against
   /// the shared state and fold the shards into staging_ — always in
   /// canonical fork order.
-  template <class Fork, class S>
+  template <class S>
   void join_forked_group(std::vector<Fork>& forks, PhaseCtx<S>& cx) {
     engine::trace::Span merge_span(engine::trace::Cat::kTask, "shard-merge",
                                    static_cast<std::int64_t>(forks.size()));
@@ -496,30 +497,13 @@ class MultiprocSimulator {
   }
 
   /// Fork runs of consecutive equal-uppers children of one regime-1
-  /// node — the same antichain argument as the executor's
-  /// exec_children_forked: split() orders children by how many
-  /// monotone coordinates take the upper half, and within one such run
-  /// no child can feed another. Singleton runs execute in place so
-  /// later runs see their out-sets.
+  /// node (antichains; geom::RegionChildren::for_each_equal_uppers_run).
+  /// Singleton runs execute in place so later runs see their out-sets.
   template <class S>
   void relocate_children_forked(
       const geom::Region<D>& r,
       const typename geom::Region<D>::Children& children, PhaseCtx<S>& cx) {
-    struct Fork {
-      PhaseLog log;
-      std::optional<Shard> shard;
-    };
-    auto uppers = [&r](const geom::Region<D>& child) {
-      int u = 0;
-      for (int k = 0; k < geom::Region<D>::K; ++k)
-        if (child.lo()[k] != r.lo()[k]) ++u;
-      return u;
-    };
-    std::size_t i = 0;
-    while (i < children.size()) {
-      std::size_t j = i + 1;
-      while (j < children.size() && uppers(children[j]) == uppers(children[i]))
-        ++j;
+    children.for_each_equal_uppers_run(r, [&](std::size_t i, std::size_t j) {
       if (j - i == 1) {
         relocate_child(children[i], cx);
       } else {
@@ -537,8 +521,7 @@ class MultiprocSimulator {
         scope.join();
         join_forked_group(forks, cx);
       }
-      i = j;
-    }
+    });
   }
 
   /// Fork one top-level machine-tile wavefront (tiles of one
@@ -547,10 +530,6 @@ class MultiprocSimulator {
   template <class TileWave>
   void exec_tilewave_forked(const TileWave& wave, std::size_t k,
                             double rdist) {
-    struct Fork {
-      PhaseLog log;
-      std::optional<Shard> shard;
-    };
     std::vector<Fork> forks(wave.size());
     for (Fork& fk : forks) fk.shard.emplace(sep::overlay, staging_);
     engine::TaskScope scope(engine::ForkPhase::kMachineTile);
@@ -643,11 +622,9 @@ class MultiprocSimulator {
       engine::trace::Span wave_span(engine::trace::Cat::kSim, "regime2-wave",
                                     static_cast<std::int64_t>(wave.size()),
                                     static_cast<std::int64_t>(wi));
-      if (wave_parallel(wave.size())) {
-        exec_wave_forked(wave, cx);
-      } else if (cx.log != nullptr) {
-        // Serial within an enclosing fork: execute against the fork's
-        // shard, recording each subtile as a step for the join replay.
+      if (cx.log != nullptr) {
+        // Within an enclosing fork: execute against the fork's shard,
+        // recording each subtile as a step for the join replay.
         for (const geom::Region<D>& sub : wave) {
           cx.log->push_back(SubtileStep{});
           make_subtile_step(sub, *cx.store,
@@ -663,7 +640,7 @@ class MultiprocSimulator {
     }
   }
 
-  /// The forked/logged subtile body: identify the home processor,
+  /// The logged subtile body: identify the home processor,
   /// split the preboundary, record the pre charges and run the body
   /// through the executor against `store` — no shared state touched.
   template <class S>
@@ -675,7 +652,7 @@ class MultiprocSimulator {
     auto home = strip_of(fp->x);
     sb.pr = proc_of_strip(home);
     // Span args match exec_subtile's so the deterministic span set is
-    // the same whether the wave forked or ran serially.
+    // the same whether the enclosing tile forked or ran serially.
     engine::trace::Span sub_span(engine::trace::Cat::kSim, "regime2-subtile",
                                  sub.width(), sb.pr);
     const StripSplit split = split_preboundary(sub, home);
@@ -755,44 +732,6 @@ class MultiprocSimulator {
     for (sched::Op<D> op : body.ops()) {
       op.proc = pr;
       emit_->push(op);
-    }
-  }
-
-  /// One wave with its independent subtiles forked. Each runs against
-  /// a private StagingShard over cx's store with private ChargeLogs;
-  /// the join merges in canonical subtile order (directly at the root,
-  /// or by splicing into the enclosing fork's log).
-  template <class S>
-  void exec_wave_forked(const std::vector<geom::Region<D>>& wave,
-                        PhaseCtx<S>& cx) {
-    struct Fork {
-      SubtileStep step;
-      std::optional<Shard> shard;
-    };
-    std::vector<Fork> forks(wave.size());
-    for (Fork& fk : forks) fk.shard.emplace(sep::overlay, *cx.store);
-    engine::TaskScope scope(engine::ForkPhase::kRegime2Wave);
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Fork& fk = forks[i];
-      const geom::Region<D>& sub = wave[i];
-      scope.fork(
-          [this, &fk, &sub] { make_subtile_step(sub, *fk.shard, fk.step); });
-    }
-    scope.join();
-    engine::trace::Span merge_span(engine::trace::Cat::kTask, "shard-merge",
-                                   static_cast<std::int64_t>(wave.size()));
-    if (cx.log != nullptr) {
-      for (Fork& fk : forks) {
-        cx.log->push_back(std::move(fk.step));
-        fk.shard->merge_into(*cx.store);
-      }
-      return;
-    }
-    const std::size_t base = staging_.size();
-    std::int64_t cum = 0;
-    for (Fork& fk : forks) {
-      merge_subtile_step(fk.step, base, cum);
-      fk.shard->merge_into(staging_);
     }
   }
 

@@ -451,14 +451,23 @@ int run_fit(const Artifact& a, std::ostream& os) {
     double n = c["n"].as_number(), m = c["m"].as_number(),
            p = c["p"].as_number();
     double slow = c["slowdown"].as_number();
+    const double parts[] = {c["slow_reloc"].as_number(),
+                            c["slow_exec"].as_number(),
+                            c["slow_comm"].as_number()};
+    // The model's domain; every comparison is false on NaN.
+    if (!(m >= 1 && p >= 1 && p <= n && std::isfinite(n) && slow > 0 &&
+          std::isfinite(slow) && parts[0] >= 0 && parts[1] >= 0 &&
+          parts[2] >= 0 && std::isfinite(parts[0] + parts[1] + parts[2]))) {
+      os << "error: a calibration point in " << a.path
+         << " is outside the model's domain\n";
+      return kExitUsage;
+    }
     if (c["holdout"].as_number() != 0) {
       holdouts.push_back({n, m, p, slow});
       continue;
     }
     agg.add_measurement(n, m, p, slow);
-    mech.add_measurement(n, m, p, slow, c["slow_reloc"].as_number(),
-                         c["slow_exec"].as_number(),
-                         c["slow_comm"].as_number());
+    mech.add_measurement(n, m, p, slow, parts[0], parts[1], parts[2]);
   }
   if (mech.num_measurements() < 3) {
     os << "error: fewer than 3 training points\n";

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/cost.hpp"
+#include "core/env.hpp"
 #include "core/expect.hpp"
 #include "core/logmath.hpp"
 #include "core/rng.hpp"
@@ -161,4 +167,57 @@ TEST(Table, CsvOutput) {
   std::ostringstream os;
   t.print_csv(os);
   EXPECT_EQ(os.str(), "name,v\na;b,1.5\n7,2\n");
+}
+
+TEST(EnvKnobs, ParseBoolAcceptsTheSixSpellings) {
+  for (const char* off : {"0", "off", "false", "OFF", "False"})
+    EXPECT_EQ(core::parse_bool(off), std::optional<bool>(false)) << off;
+  for (const char* on : {"1", "on", "true", "ON", "True"})
+    EXPECT_EQ(core::parse_bool(on), std::optional<bool>(true)) << on;
+  for (const char* bad :
+       {"", "2", "yes", "no", "scalar", " 1", "on ", "offf", "00", "-1"})
+    EXPECT_EQ(core::parse_bool(bad), std::nullopt) << '"' << bad << '"';
+}
+
+TEST(EnvKnobs, ParseIntIsWholeAndInRange) {
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(core::parse_int("0", lo), 0);
+  EXPECT_EQ(core::parse_int("42", lo), 42);
+  EXPECT_EQ(core::parse_int("-7", lo), -7);
+  EXPECT_EQ(core::parse_int("9223372036854775807", lo), core::kInt64Max);
+  for (const char* bad :
+       {"", "4x", "abc", " 4", "4 ", "+4", "0x10", "1e3", "4.0",
+        "9223372036854775808", "-"})
+    EXPECT_EQ(core::parse_int(bad, lo), std::nullopt) << '"' << bad << '"';
+  EXPECT_EQ(core::parse_int("-1", 0), std::nullopt);
+  EXPECT_EQ(core::parse_int("1023", 1024), std::nullopt);
+  EXPECT_EQ(core::parse_int("1024", 1024), 1024);
+  EXPECT_EQ(core::parse_int("11", 0, 10), std::nullopt);
+}
+
+TEST(EnvKnobs, MalformedValueThrowsWithTheVariableName) {
+  const char* name = "BSMP_TEST_ENV_KNOB";
+  ::unsetenv(name);
+  EXPECT_TRUE(core::env_bool(name, true));
+  EXPECT_EQ(core::env_int(name, 17), 17);
+  ::setenv(name, "", 1);  // empty behaves as unset
+  EXPECT_FALSE(core::env_bool(name, false));
+  EXPECT_EQ(core::env_int(name, 17), 17);
+  ::setenv(name, "off", 1);
+  EXPECT_FALSE(core::env_bool(name, true));
+  ::setenv(name, "8", 1);
+  EXPECT_EQ(core::env_int(name, 0), 8);
+  for (const char* bad : {"4x", "abc", "-1"}) {
+    ::setenv(name, bad, 1);
+    try {
+      core::env_int(name, 0);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  ::setenv(name, "scalar", 1);
+  EXPECT_THROW(core::env_bool(name, true), std::invalid_argument);
+  ::unsetenv(name);
 }

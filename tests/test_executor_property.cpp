@@ -529,8 +529,9 @@ TEST(ParallelGrainIdentity, D2VolumeBitIdenticalAcrossGrainAndPool) {
 }
 
 TEST(ParallelGrainIdentity, MultiprocWaveForkingBitIdentical) {
-  // The multiproc driver forks whole Regime-2 subtiles; totals, final
-  // values, virtual time, and utilization must not move.
+  // The multiproc driver forks machine tiles and regime-1 relocation
+  // runs; totals, final values, virtual time, and utilization must not
+  // move.
   auto g = workload::make_mix_guest<1>({32}, 32, 2, 9);
   sim::MultiprocConfig cfg;
   cfg.s = 4;
@@ -556,12 +557,12 @@ TEST(ParallelGrainIdentity, MultiprocWaveForkingBitIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// Multiproc forking identity: the forked regime-1 relocation levels,
-// forked wavefronts (d=1 and d=2) and forked subtile bodies must be
-// bit-identical to the serial run — per-kind charged costs (bitwise
-// doubles), event counts, virtual time, utilization, vertices, peak
-// staging, slab allocations, final values, and the emitted op stream —
-// across Pool {1,2,4} × grain {off, 2, huge}.
+// Multiproc forking identity: the forked regime-1 relocation levels and
+// forked machine-tile wavefronts (d=1 and d=2) must be bit-identical to
+// the serial run — per-kind charged costs (bitwise doubles), event
+// counts, virtual time, utilization, vertices, peak staging, slab
+// allocations, final values, and the emitted op stream — across
+// Pool {1,2,4} × grain {off, 2, huge}.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -583,7 +584,7 @@ std::uint64_t bits_of(double v) {
 }
 
 struct MpGrains {
-  int64_t reloc, wave, exec;
+  int64_t reloc, wave;
 };
 
 /// Run the multiproc simulator under one grains config and return
@@ -592,8 +593,6 @@ template <int D, class V>
 MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
                         const machine::MachineSpec& host, int64_t s,
                         MpGrains grains, sim::FinalValues<D, V>& fin_out) {
-  const int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(grains.exec);
   engine::Metrics metrics;
   sim::MultiprocConfig cfg;
   cfg.s = s;
@@ -601,7 +600,6 @@ MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
   cfg.wave_grain = grains.wave;
   cfg.metrics = &metrics;
   auto res = sim::simulate_multiproc<D, V>(g, host, cfg);
-  sep::set_default_parallel_grain(saved);
 
   MpOutcome out;
   for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
@@ -643,14 +641,13 @@ void expect_mp_eq(const MpOutcome& a, const MpOutcome& b,
 template <int D, class V>
 void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
                            const machine::MachineSpec& host, int64_t s) {
-  const MpGrains kOff{0, 0, 0};
+  const MpGrains kOff{0, 0};
   const int64_t huge = int64_t{1} << 30;
   const MpGrains combos[] = {
-      {2, 0, 0},           // regime-1 relocation forks alone
-      {0, 2, 0},           // wavefronts fork alone
-      {0, 0, 2},           // executor (subtile bodies) forks alone
-      {2, 2, 2},           // everything forks
-      {huge, huge, huge},  // above every width: must equal off
+      {2, 0},        // regime-1 relocation forks alone
+      {0, 2},        // machine-tile wavefronts fork alone
+      {2, 2},        // both fork
+      {huge, huge},  // above every width: must equal off
   };
 
   sim::FinalValues<D, V> ref_fin;
@@ -668,7 +665,6 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
       const std::string what =
           "d=" + std::to_string(D) + " reloc=" + std::to_string(gr.reloc) +
           " wave=" + std::to_string(gr.wave) +
-          " exec=" + std::to_string(gr.exec) +
           " threads=" + std::to_string(threads);
       expect_mp_eq(ref, got, what);
       EXPECT_TRUE(sim::same_values<D>(ref_fin, fin)) << what;
@@ -686,6 +682,62 @@ TEST(ParallelGrainIdentity, MultiprocD1ForkMatrixBitIdentical) {
 TEST(ParallelGrainIdentity, MultiprocD2ForkMatrixBitIdentical) {
   auto g = workload::make_mix_guest<2>({8, 8}, 8, 1, 4321);
   multiproc_fork_matrix<2>(g, machine::MachineSpec{2, 64, 4, 1}, /*s=*/2);
+}
+
+namespace {
+
+/// Every fork phase's spawned + inlined count after one multiproc run
+/// with reloc/wave grains 2 (and the executor grain 2) on a 4-slot pool.
+template <int D>
+std::array<std::uint64_t, engine::kNumForkPhases> multiproc_phase_forks(
+    const sep::Guest<D>& g, const machine::MachineSpec& host, int64_t s) {
+  const int64_t saved = sep::default_parallel_grain();
+  sep::set_default_parallel_grain(2);
+  sim::MultiprocConfig cfg;
+  cfg.s = s;
+  cfg.reloc_grain = 2;
+  cfg.wave_grain = 2;
+  engine::Pool pool(4);
+  engine::TaskStats stats;
+  {
+    auto bind = pool.bind_caller();
+    pool.reset_task_stats();
+    sim::simulate_multiproc<D>(g, host, cfg);
+    stats = pool.task_stats();
+  }
+  sep::set_default_parallel_grain(saved);
+  std::array<std::uint64_t, engine::kNumForkPhases> out{};
+  for (std::size_t i = 0; i < engine::kNumForkPhases; ++i)
+    out[i] = stats.phase[i].spawned + stats.phase[i].inlined;
+  return out;
+}
+
+}  // namespace
+
+TEST(ParallelGrainIdentity, MultiprocForksOnlyMachineTilesAndRelocations) {
+  // The fork matrices above prove nothing unless the forks fire: on
+  // their configs, machine tiles and regime-1 relocation runs fork, and
+  // nothing else does — regime-2 waves and subtile bodies run in order
+  // even with the executor grain on.
+  auto check = [](const auto& forks, const std::string& what) {
+    for (std::size_t i = 0; i < engine::kNumForkPhases; ++i) {
+      const auto phase = static_cast<engine::ForkPhase>(i);
+      const std::string name = engine::fork_phase_name(phase);
+      if (phase == engine::ForkPhase::kMachineTile ||
+          phase == engine::ForkPhase::kRegime1Relocate)
+        EXPECT_GT(forks[i], 0u) << what << ": " << name;
+      else
+        EXPECT_EQ(forks[i], 0u) << what << ": " << name;
+    }
+  };
+  check(multiproc_phase_forks<1>(
+            workload::make_mix_guest<1>({64}, 64, 2, 1234), spec(1, 64, 4, 2),
+            /*s=*/4),
+        "d=1");
+  check(multiproc_phase_forks<2>(
+            workload::make_mix_guest<2>({8, 8}, 8, 1, 4321),
+            machine::MachineSpec{2, 64, 4, 1}, /*s=*/2),
+        "d=2");
 }
 
 TEST(ParallelGrainIdentity, MultiprocEmitConformance) {

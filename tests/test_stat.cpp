@@ -437,6 +437,29 @@ TEST(StatFit, ReadsCalibrationPointsTheSerializerWrites) {
       << out.str();
 }
 
+TEST(StatFit, RefusesPointsOutsideTheModelDomain) {
+  // A point the model cannot take (slowdown <= 0, p > n, a negative
+  // part, m < 1) is refused with exit 2, not thrown past the CLI.
+  const std::string good = metrics_doc("boxA", 8, 0);
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("slowdown": 3.0)", R"("slowdown": 0)"},
+           {R"("n": 64, "m": 4, "p": 4)", R"("n": 2, "m": 4, "p": 4)"},
+           {R"("slow_reloc": 0.5)", R"("slow_reloc": -1)"},
+           {R"("n": 64, "m": 4)", R"("n": 64, "m": 0)"}}) {
+    std::string doc = good;
+    const auto at = doc.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    doc.replace(at, from.size(), to);
+    std::string out, err;
+    EXPECT_EQ(cli({"fit", write_file("bad_point.json", doc)}, &out, &err),
+              stat::kExitUsage)
+        << to;
+    EXPECT_NE(out.find("outside the model's domain"), std::string::npos)
+        << out;
+  }
+}
+
 // ---- CLI surface ---------------------------------------------------
 
 TEST(StatCli, MalformedArtifactsAreExitTwo) {

@@ -236,7 +236,7 @@ TEST(TaskStatsCounters, PhaseAttributionSplitsForks) {
   engine::Pool pool(2);
   {
     auto bind = pool.bind_caller();
-    engine::TaskScope waves(engine::ForkPhase::kRegime2Wave);
+    engine::TaskScope waves(engine::ForkPhase::kMachineTile);
     for (int i = 0; i < 5; ++i) waves.fork([] {});
     waves.join();
     engine::TaskScope reloc(engine::ForkPhase::kRegime1Relocate);
@@ -250,8 +250,8 @@ TEST(TaskStatsCounters, PhaseAttributionSplitsForks) {
   auto at = [&](engine::ForkPhase p) -> const engine::PhaseTaskStats& {
     return s.phase[static_cast<std::size_t>(p)];
   };
-  EXPECT_EQ(at(engine::ForkPhase::kRegime2Wave).spawned +
-                at(engine::ForkPhase::kRegime2Wave).inlined,
+  EXPECT_EQ(at(engine::ForkPhase::kMachineTile).spawned +
+                at(engine::ForkPhase::kMachineTile).inlined,
             5u);
   EXPECT_EQ(at(engine::ForkPhase::kRegime1Relocate).spawned +
                 at(engine::ForkPhase::kRegime1Relocate).inlined,
@@ -275,10 +275,6 @@ TEST(TaskStatsCounters, PhaseNamesAreStable) {
                "machine-tile");
   EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kRegime1Relocate),
                "regime1-relocate");
-  EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kRegime2Wave),
-               "regime2-wave");
-  EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kRegime2Subtile),
-               "regime2-subtile");
   EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kExecutorLeaf),
                "executor-leaf");
 }
