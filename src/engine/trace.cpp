@@ -91,7 +91,14 @@ void json_string(std::ostream& os, std::string_view s) {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{core::env_bool("BSMP_TRACE", false)};
+std::atomic<std::uint8_t> g_state{kUnread};
+
+bool read_knob() {
+  const std::uint8_t knob = core::env_bool("BSMP_TRACE", false) ? kOn : kOff;
+  std::uint8_t expected = kUnread;
+  g_state.compare_exchange_strong(expected, knob, std::memory_order_relaxed);
+  return g_state.load(std::memory_order_relaxed) == kOn;
+}
 
 namespace {
 
@@ -174,7 +181,12 @@ void record(Cat cat, char ph, const char* name, std::uint64_t t0,
 }  // namespace detail
 
 void set_enabled(bool on) {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
+  // Consult the knob first, so a malformed BSMP_TRACE is reported here
+  // as it would be by enabled().
+  if (detail::g_state.load(std::memory_order_relaxed) == detail::kUnread)
+    detail::read_knob();
+  detail::g_state.store(on ? detail::kOn : detail::kOff,
+                        std::memory_order_relaxed);
 }
 
 std::vector<SpanRec> snapshot() {

@@ -132,7 +132,15 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-extern std::atomic<bool> g_enabled;
+/// Recorder switch: kOff, kOn, or kUnread until the BSMP_TRACE knob is
+/// first consulted (by enabled() or set_enabled()).
+inline constexpr std::uint8_t kOff = 0, kOn = 1, kUnread = 2;
+extern std::atomic<std::uint8_t> g_state;
+
+/// Parse BSMP_TRACE (core::env_bool; throws std::invalid_argument on a
+/// malformed value, leaving the state unread) and publish it unless
+/// the state was set meanwhile. Returns whether the recorder is on.
+bool read_knob();
 
 /// Append one event to the calling thread's buffer (registering the
 /// buffer on first use).
@@ -142,11 +150,16 @@ void record(Cat cat, char ph, const char* name, std::uint64_t t0,
 
 }  // namespace detail
 
-/// Runtime gate: initialized from the BSMP_TRACE environment variable
-/// (a core::env_bool knob, off when unset), toggled by tests via
-/// set_enabled().
+/// Runtime gate: read from the BSMP_TRACE environment variable (a
+/// core::env_bool knob, off when unset) on the first call of this or
+/// set_enabled(), so a malformed value throws to that caller instead
+/// of aborting before main. Toggled by tests via set_enabled(). After
+/// the first call, one relaxed load.
 inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
+  const std::uint8_t s = detail::g_state.load(std::memory_order_relaxed);
+  if (s == detail::kUnread) [[unlikely]]
+    return detail::read_knob();
+  return s == detail::kOn;
 }
 void set_enabled(bool on);
 

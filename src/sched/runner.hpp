@@ -35,17 +35,19 @@ RunResult<D> run_schedule(const sep::Guest<D>& guest, const Sched& sched) {
     return it->second;
   };
 
-  for (const auto& op : sched.ops()) {
-    if (op.kind != OpKind::kLeaf) continue;
-    geom::Region<D> leaf(&st, op.leaf_lo, op.leaf_hi);
-    leaf.for_each([&](const geom::Point<D>& p) {
-      BSMP_ASSERT_MSG(!res.values.contains(p),
-                      "schedule executes a vertex twice (t=" << p.t << ")");
-      res.values.emplace(
-          p, sep::eval_vertex(guest, guest.rule, p, lookup).value);
-      ++res.vertices;
-    });
-  }
+  guest.rule.visit([&](const auto& rule) {
+    for (const auto& op : sched.ops()) {
+      if (op.kind != OpKind::kLeaf) continue;
+      geom::Region<D> leaf(&st, op.leaf_lo, op.leaf_hi);
+      leaf.for_each([&](const geom::Point<D>& p) {
+        BSMP_ASSERT_MSG(!res.values.contains(p),
+                        "schedule executes a vertex twice (t=" << p.t
+                                                               << ")");
+        res.values.emplace(p, sep::eval_vertex(guest, rule, p, lookup).value);
+        ++res.vertices;
+      });
+    }
+  });
 
   BSMP_ASSERT_MSG(res.vertices == st.num_nodes() * st.horizon,
                   "schedule covers " << res.vertices << " of "

@@ -90,6 +90,18 @@ class ConcreteExecutor {
   execute(const geom::Region<D>& U,
           const std::unordered_map<geom::Point<D>, std::size_t,
                                    geom::PointHash<D>>& pre) {
+    return guest_->rule.visit(
+        [&](const auto& rule) { return execute_on(U, pre, rule); });
+  }
+
+ private:
+  /// execute() on the guest's concrete rule kernel.
+  template <class RuleFn>
+  std::unordered_map<geom::Point<D>, std::size_t, geom::PointHash<D>>
+  execute_on(const geom::Region<D>& U,
+             const std::unordered_map<geom::Point<D>, std::size_t,
+                                      geom::PointHash<D>>& pre,
+             const RuleFn& rule) {
     using AddrMap =
         std::unordered_map<geom::Point<D>, std::size_t, geom::PointHash<D>>;
     const std::size_t S = U.width() <= leaf_width_
@@ -98,7 +110,7 @@ class ConcreteExecutor {
     BSMP_REQUIRE_MSG(S <= ram_->size(),
                      "H-RAM too small: need " << S << " words");
 
-    if (U.width() <= leaf_width_) return execute_leaf(U, pre, S);
+    if (U.width() <= leaf_width_) return execute_leaf(U, pre, S, rule);
 
     // Staging band at the top of this window: the caller parked the
     // preboundary of U in [S - |Γin(U)|, S); the out-sets of completed
@@ -142,7 +154,7 @@ class ConcreteExecutor {
       }
 
       // Step 2: run the child in [0, Sc).
-      AddrMap child_out = execute(child, child_pre);
+      AddrMap child_out = execute_on(child, child_pre, rule);
 
       // Step 3: save the child's out-set into the staging band.
       for (const auto& [q, addr] : child_out) {
@@ -161,12 +173,12 @@ class ConcreteExecutor {
     return out_addrs;
   }
 
- private:
+  template <class RuleFn>
   std::unordered_map<geom::Point<D>, std::size_t, geom::PointHash<D>>
   execute_leaf(const geom::Region<D>& U,
                const std::unordered_map<geom::Point<D>, std::size_t,
                                         geom::PointHash<D>>& pre,
-               std::size_t S) {
+               std::size_t S, const RuleFn& rule) {
     using AddrMap =
         std::unordered_map<geom::Point<D>, std::size_t, geom::PointHash<D>>;
     // Values of this leaf are laid out from address 0 upward in
@@ -212,7 +224,7 @@ class ConcreteExecutor {
     std::size_t next = 0;
     U.for_each([&](const geom::Point<D>& p) {
       const hram::Word value =
-          eval_vertex(*guest_, guest_->rule, p, load).value;
+          eval_vertex(*guest_, rule, p, load).value;
       BSMP_ASSERT_MSG(next < top, "leaf window overflow");
       BSMP_ASSERT_MSG(next == slot(p), "dense leaf layout out of order");
       ram_->write(next, value);

@@ -11,6 +11,14 @@
 // any scheduling bug in a simulator corrupts the final rows with
 // overwhelming probability (the equivalence tests rely on this).
 //
+// A scalar guest carries its rule as a concrete kernel (Rule, a
+// std::variant of the kernel structs of sep/kernels.hpp plus the
+// FunctionKernel adapter). Every simulator resolves the kernel once
+// per call — visit_rule — and hands the concrete callable to its
+// vertex loop, so kernel rules make no per-vertex indirect call and
+// the executor's leaves take the SIMD row path wherever the kernel
+// has one (doc/ENGINE.md "SIMD kernels").
+//
 // Batched guests (doc/ENGINE.md "Batched guests"): every theorem holds
 // for *arbitrary* T-step computations, so nothing in the charging
 // depends on what a dag value *is* — only on how many vertices exist
@@ -33,16 +41,18 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 
+#include "core/expect.hpp"
 #include "geom/lattice.hpp"
-#include "hram/hram.hpp"
+#include "sep/kernels.hpp"
 
 namespace bsmp::sep {
-
-/// The 64-bit machine word every scalar dag value is (hram::Word).
-using hram::Word;
 
 /// Scenarios per batched run: one per bit of a Word, so the bit-sliced
 /// and SoA forms always agree on the ensemble size.
@@ -88,36 +98,142 @@ template <int D>
 using ValueMap =
     std::unordered_map<geom::Point<D>, Word, geom::PointHash<D>>;
 
-/// Neighbor operand order: for each spatial dimension i, first the
-/// -e_i neighbor then the +e_i neighbor; slots for neighbors outside
-/// the mesh hold the zero value (fixed zero boundary).
-template <int D, class V>
-using BasicNeighbors = std::array<V, geom::kMono<D>>;
-
-/// Scalar neighbor operands (V = Word).
-template <int D>
-using NeighborWords = BasicNeighbors<D, Word>;
-
-/// SoA-batched neighbor operands (V = LaneBatch).
+/// SoA-batched neighbor operands (V = LaneBatch). The operand order
+/// and the Word forms live with the kernels (sep/kernels.hpp).
 template <int D>
 using NeighborBatches = BasicNeighbors<D, LaneBatch>;
 
-/// The step rule: value(x, t) for t >= 1. `self_prev` is the node's own
-/// cell operand — value(x, t-m) when t >= m, or the initial content of
-/// cell (t mod m) when t < m.
+/// A type-erased step rule: value(x, t) for t >= 1. `self_prev` is the
+/// node's own cell operand — value(x, t-m) when t >= m, or the initial
+/// content of cell (t mod m) when t < m.
 template <int D, class V>
-using BasicRule = std::function<V(const geom::Point<D>& p, V self_prev,
-                                  const BasicNeighbors<D, V>& nbrs)>;
+using RuleFunction = std::function<V(const geom::Point<D>& p, V self_prev,
+                                     const BasicNeighbors<D, V>& nbrs)>;
 
-/// Scalar step rule (V = Word). Type-erased; for the executor's
-/// concrete-kernel fast path see sep/simd.hpp and
-/// Executor::execute_with_rule.
+/// The kernel alternative for every scalar rule without a kernel
+/// struct (parity, diffusion, sort, max, shearsort, ad-hoc lambdas):
+/// one std::function call per vertex, and no row kernel.
 template <int D>
-using Rule = BasicRule<D, Word>;
+struct FunctionKernel {
+  RuleFunction<D, Word> fn;
 
-/// SoA-batched step rule (V = LaneBatch).
+  Word operator()(const geom::Point<D>& p, Word self,
+                  const NeighborWords<D>& nbrs) const {
+    return fn(p, self, nbrs);
+  }
+};
+
+/// The kernels a scalar rule of dimension D can hold: the kernel
+/// structs defined for D, then the FunctionKernel adapter.
 template <int D>
-using BatchRule = BasicRule<D, LaneBatch>;
+struct RuleKernels {
+  using type = std::variant<MixKernel<D>, XorKernel<D>, FunctionKernel<D>>;
+};
+template <>
+struct RuleKernels<1> {
+  using type = std::variant<MixKernel<1>, XorKernel<1>, Rule110Kernel,
+                            Rule110LanesKernel, FunctionKernel<1>>;
+};
+
+namespace detail {
+template <class K, class Variant>
+inline constexpr bool is_alternative = false;
+template <class K, class... Ks>
+inline constexpr bool is_alternative<K, std::variant<Ks...>> =
+    (std::is_same_v<K, Ks> || ...);
+}  // namespace detail
+
+/// Scalar step rule (V = Word): a std::variant of the concrete kernels.
+/// Assigning a kernel struct stores it as is; any other callable with
+/// the rule signature is stored in a FunctionKernel. Simulators call
+/// visit() once per execution and run their vertex loops on the
+/// concrete kernel, so a kernel rule makes no per-vertex indirect call
+/// and the executor's leaves reach its SIMD row path (sep/simd.hpp).
+/// operator() dispatches per call and is meant for tests and adapters.
+template <int D>
+class Rule {
+ public:
+  using Kernels = typename RuleKernels<D>::type;
+
+  /// The empty rule: an empty FunctionKernel, rejected by validate().
+  Rule() = default;
+  Rule(std::nullptr_t) {}
+
+  template <class F>
+    requires(!std::is_same_v<std::decay_t<F>, Rule> &&
+             std::is_invocable_r_v<Word, const std::decay_t<F>&,
+                                   const geom::Point<D>&, Word,
+                                   const NeighborWords<D>&>)
+  Rule(F&& f) : kernel_(hold(std::forward<F>(f))) {}
+
+  /// Call f with the held kernel (one std::visit).
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    return std::visit(std::forward<F>(f), kernel_);
+  }
+
+  Word operator()(const geom::Point<D>& p, Word self,
+                  const NeighborWords<D>& nbrs) const {
+    return visit([&](const auto& k) { return k(p, self, nbrs); });
+  }
+
+  /// False only for the empty rule.
+  explicit operator bool() const {
+    const auto* f = std::get_if<FunctionKernel<D>>(&kernel_);
+    return f == nullptr || f->fn != nullptr;
+  }
+  friend bool operator==(const Rule& r, std::nullptr_t) { return !r; }
+
+ private:
+  template <class F>
+  static Kernels hold(F&& f) {
+    using K = std::decay_t<F>;
+    if constexpr (detail::is_alternative<K, Kernels>)
+      return Kernels(std::in_place_type<K>, std::forward<F>(f));
+    else
+      return Kernels(std::in_place_type<FunctionKernel<D>>,
+                     FunctionKernel<D>{RuleFunction<D, Word>(
+                         std::forward<F>(f))});
+  }
+
+  Kernels kernel_{std::in_place_type<FunctionKernel<D>>};
+};
+
+/// The same rule with its kernel behind a FunctionKernel: identical
+/// values, evaluated through one std::function call per vertex and
+/// never by a row kernel — the type-erased baseline the kernel paths
+/// are compared against.
+template <int D>
+Rule<D> type_erased(const Rule<D>& rule) {
+  return rule.visit([](const auto& k) -> Rule<D> {
+    if constexpr (std::is_same_v<std::decay_t<decltype(k)>,
+                                 FunctionKernel<D>>)
+      return k;
+    else
+      return FunctionKernel<D>{RuleFunction<D, Word>(k)};
+  });
+}
+
+/// SoA-batched step rule (V = LaneBatch), type-erased.
+template <int D>
+using BatchRule = RuleFunction<D, LaneBatch>;
+
+/// The step rule a guest over V carries: Rule<D> for scalar guests,
+/// BatchRule<D> for batched ones.
+template <int D, class V>
+using BasicRule =
+    std::conditional_t<std::is_same_v<V, Word>, Rule<D>, RuleFunction<D, V>>;
+
+/// Call f with a guest rule's concrete callable: the kernel a scalar
+/// Rule holds (one std::visit), or a batched rule's std::function.
+template <int D, class F>
+decltype(auto) visit_rule(const Rule<D>& rule, F&& f) {
+  return rule.visit(std::forward<F>(f));
+}
+template <class Sig, class F>
+decltype(auto) visit_rule(const std::function<Sig>& rule, F&& f) {
+  return std::forward<F>(f)(rule);
+}
 
 /// Initial memory contents: cell `cell` (0 <= cell < m) of node x.
 /// value(x, 0) is input(x, 0) by Definition 3.
@@ -216,19 +332,20 @@ inline VertexValue<V> eval_vertex(const BasicGuest<D, V>& guest,
 
 /// Apply a scalar rule independently to each of the 64 lanes.
 template <int D>
-BatchRule<D> broadcast_rule(Rule<D> rule) {
+BatchRule<D> broadcast_rule(const Rule<D>& rule) {
   BSMP_REQUIRE(rule != nullptr);
-  return [rule = std::move(rule)](const geom::Point<D>& p, LaneBatch self,
-                                  const NeighborBatches<D>& nbrs)
-             -> LaneBatch {
-    LaneBatch out;
-    NeighborWords<D> lane_nbrs{};
-    for (int l = 0; l < kLanes; ++l) {
-      for (int k = 0; k < geom::kMono<D>; ++k) lane_nbrs[k] = nbrs[k][l];
-      out[l] = rule(p, self[l], lane_nbrs);
-    }
-    return out;
-  };
+  return rule.visit([](const auto& kernel) -> BatchRule<D> {
+    return [kernel](const geom::Point<D>& p, LaneBatch self,
+                    const NeighborBatches<D>& nbrs) -> LaneBatch {
+      LaneBatch out;
+      NeighborWords<D> lane_nbrs{};
+      for (int l = 0; l < kLanes; ++l) {
+        for (int k = 0; k < geom::kMono<D>; ++k) lane_nbrs[k] = nbrs[k][l];
+        out[l] = kernel(p, self[l], lane_nbrs);
+      }
+      return out;
+    };
+  });
 }
 
 /// Start every lane from the same scalar input.

@@ -91,9 +91,10 @@ int lane_width();
 
 /// Detects whether R provides the dimension-D row kernel of the header
 /// contract. The executor's leaf takes the vector path only when this
-/// holds for the rule it was handed *and* values are plain words
-/// (V = Word) *and* simd::enabled() — otherwise it runs the scalar
-/// per-vertex loop, unchanged.
+/// holds for the kernel the guest's rule holds (sep/kernels.hpp; a
+/// FunctionKernel never does) *and* values are plain words (V = Word)
+/// *and* simd::enabled() — otherwise it runs the scalar per-vertex
+/// loop, unchanged.
 template <class R, int D>
 concept RowKernel = requires(const R& r, Word* out, const Word* self,
                              const Word* const* nbrs, std::size_t n,

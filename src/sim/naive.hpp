@@ -103,72 +103,75 @@ SimResult<D, V> simulate_naive(const sep::BasicGuest<D, V>& guest,
   std::vector<V> scratch(static_cast<std::size_t>(n), V{});
 
   const auto hot_t0 = std::chrono::steady_clock::now();
-  for (std::int64_t t = 0; t < T; ++t) {
-    if (cfg.pipelined) {
-      // One pipelined sweep per processor: latency to the far end of
-      // its memory plus one unit per word touched (cell + neighbors).
-      core::Cost sweep =
-          f(static_cast<std::uint64_t>(span * m)) +
-          static_cast<core::Cost>(span) * static_cast<core::Cost>(2 * D + 2);
-      for (std::int64_t pr = 0; pr < host.p; ++pr) clocks.advance(pr, sweep);
-      res.ledger.charge(core::CostKind::kLocalAccess,
-                        sweep * static_cast<core::Cost>(host.p),
-                        static_cast<std::uint64_t>(host.p));
-    }
-    for (std::int64_t idx = 0; idx < n; ++idx) {
-      auto x = detail::node_coords<D>(st, idx);
-      auto pl = detail::place_node<D>(st, proc_side, x);
-      geom::Point<D> p;
-      p.x = x;
-      p.t = t;
+  // One dispatch to the guest's concrete rule for the whole run.
+  sep::visit_rule(guest.rule, [&](const auto& rule) {
+    for (std::int64_t t = 0; t < T; ++t) {
+      if (cfg.pipelined) {
+        // One pipelined sweep per processor: latency to the far end of
+        // its memory plus one unit per word touched (cell + neighbors).
+        core::Cost sweep =
+            f(static_cast<std::uint64_t>(span * m)) +
+            static_cast<core::Cost>(span) * static_cast<core::Cost>(2 * D + 2);
+        for (std::int64_t pr = 0; pr < host.p; ++pr) clocks.advance(pr, sweep);
+        res.ledger.charge(core::CostKind::kLocalAccess,
+                          sweep * static_cast<core::Cost>(host.p),
+                          static_cast<std::uint64_t>(host.p));
+      }
+      for (std::int64_t idx = 0; idx < n; ++idx) {
+        auto x = detail::node_coords<D>(st, idx);
+        auto pl = detail::place_node<D>(st, proc_side, x);
+        geom::Point<D> p;
+        p.x = x;
+        p.t = t;
 
-      core::Cost local_cost = 0;
-      core::Cost comm_cost = 0;
-      V value;
-      if (t == 0) {
-        value = guest.input(x, 0);
-        if (!cfg.pipelined)
-          local_cost += f(static_cast<std::uint64_t>(pl.local_index * m));
-      } else {
-        V self_prev =
-            (t >= m) ? ring[t % m][idx] : guest.input(x, t % m);
-        // Cell read + write in the node's private region.
-        std::uint64_t cell_addr =
-            static_cast<std::uint64_t>(pl.local_index * m + (t % m));
-        if (!cfg.pipelined) local_cost += 2.0 * f(cell_addr);
+        core::Cost local_cost = 0;
+        core::Cost comm_cost = 0;
+        V value;
+        if (t == 0) {
+          value = guest.input(x, 0);
+          if (!cfg.pipelined)
+            local_cost += f(static_cast<std::uint64_t>(pl.local_index * m));
+        } else {
+          V self_prev =
+              (t >= m) ? ring[t % m][idx] : guest.input(x, t % m);
+          // Cell read + write in the node's private region.
+          std::uint64_t cell_addr =
+              static_cast<std::uint64_t>(pl.local_index * m + (t % m));
+          if (!cfg.pipelined) local_cost += 2.0 * f(cell_addr);
 
-        sep::BasicNeighbors<D, V> nbrs{};
-        const auto& prev = ring[(t - 1) % m];
-        for (int i = 0; i < D; ++i) {
-          for (int sgn = 0; sgn < 2; ++sgn) {
-            auto q = x;
-            q[i] += (sgn == 0 ? -1 : 1);
-            if (!st.in_space(q)) continue;
-            nbrs[2 * i + sgn] = prev[detail::node_index<D>(st, q)];
-            auto qpl = detail::place_node<D>(st, proc_side, q);
-            if (qpl.proc == pl.proc) {
-              if (!cfg.pipelined)
-                local_cost +=
-                    f(static_cast<std::uint64_t>(qpl.local_index * m));
-            } else {
-              comm_cost += link;  // one word over one near-neighbor link
+          sep::BasicNeighbors<D, V> nbrs{};
+          const auto& prev = ring[(t - 1) % m];
+          for (int i = 0; i < D; ++i) {
+            for (int sgn = 0; sgn < 2; ++sgn) {
+              auto q = x;
+              q[i] += (sgn == 0 ? -1 : 1);
+              if (!st.in_space(q)) continue;
+              nbrs[2 * i + sgn] = prev[detail::node_index<D>(st, q)];
+              auto qpl = detail::place_node<D>(st, proc_side, q);
+              if (qpl.proc == pl.proc) {
+                if (!cfg.pipelined)
+                  local_cost +=
+                      f(static_cast<std::uint64_t>(qpl.local_index * m));
+              } else {
+                comm_cost += link;  // one word over one near-neighbor link
+              }
             }
           }
+          value = rule(p, self_prev, nbrs);
         }
-        value = guest.rule(p, self_prev, nbrs);
-      }
-      scratch[idx] = value;
-      ++res.vertices;
+        scratch[idx] = value;
+        ++res.vertices;
 
-      res.ledger.charge(core::CostKind::kCompute, 1.0);
-      clocks.advance(pl.proc, local_cost + comm_cost + 1.0);
-      if (local_cost > 0)
-        res.ledger.charge(core::CostKind::kLocalAccess, local_cost);
-      if (comm_cost > 0) res.ledger.charge(core::CostKind::kComm, comm_cost);
+        res.ledger.charge(core::CostKind::kCompute, 1.0);
+        clocks.advance(pl.proc, local_cost + comm_cost + 1.0);
+        if (local_cost > 0)
+          res.ledger.charge(core::CostKind::kLocalAccess, local_cost);
+        if (comm_cost > 0) res.ledger.charge(core::CostKind::kComm, comm_cost);
+      }
+      ring[t % m].swap(scratch);
+      clocks.barrier();
     }
-    ring[t % m].swap(scratch);
-    clocks.barrier();
-  }
+  });
   if (cfg.metrics != nullptr) {
     engine::HotPathMetric h;
     h.label = cfg.hot_label.empty() ? "naive" : cfg.hot_label;

@@ -70,36 +70,39 @@ SimResult<D, V> reference_run(const sep::BasicGuest<D, V>& guest) {
   std::vector<V> scratch(static_cast<std::size_t>(n), V{});
 
   SimResult<D, V> res;
-  for (int64_t t = 0; t < T; ++t) {
-    for (int64_t idx = 0; idx < n; ++idx) {
-      auto x = detail::node_coords<D>(st, idx);
-      geom::Point<D> p;
-      p.x = x;
-      p.t = t;
-      V value;
-      if (t == 0) {
-        value = guest.input(x, 0);
-      } else {
-        V self_prev = (t >= m) ? ring[t % m][idx]
-                               : guest.input(x, t % m);
-        sep::BasicNeighbors<D, V> nbrs{};
-        const auto& prev = ring[(t - 1) % m];
-        for (int i = 0; i < D; ++i) {
-          for (int s = 0; s < 2; ++s) {
-            auto q = x;
-            q[i] += (s == 0 ? -1 : 1);
-            if (st.in_space(q))
-              nbrs[2 * i + s] = prev[detail::node_index<D>(st, q)];
+  // One dispatch to the guest's concrete rule for the whole run.
+  sep::visit_rule(guest.rule, [&](const auto& rule) {
+    for (int64_t t = 0; t < T; ++t) {
+      for (int64_t idx = 0; idx < n; ++idx) {
+        auto x = detail::node_coords<D>(st, idx);
+        geom::Point<D> p;
+        p.x = x;
+        p.t = t;
+        V value;
+        if (t == 0) {
+          value = guest.input(x, 0);
+        } else {
+          V self_prev = (t >= m) ? ring[t % m][idx]
+                                 : guest.input(x, t % m);
+          sep::BasicNeighbors<D, V> nbrs{};
+          const auto& prev = ring[(t - 1) % m];
+          for (int i = 0; i < D; ++i) {
+            for (int s = 0; s < 2; ++s) {
+              auto q = x;
+              q[i] += (s == 0 ? -1 : 1);
+              if (st.in_space(q))
+                nbrs[2 * i + s] = prev[detail::node_index<D>(st, q)];
+            }
           }
+          value = rule(p, self_prev, nbrs);
         }
-        value = guest.rule(p, self_prev, nbrs);
+        scratch[idx] = value;
+        ++res.vertices;
       }
-      scratch[idx] = value;
-      ++res.vertices;
+      ring[t % m].swap(scratch);
+      res.ledger.charge(core::CostKind::kCompute, 1.0);  // one step, unit time
     }
-    ring[t % m].swap(scratch);
-    res.ledger.charge(core::CostKind::kCompute, 1.0);  // one step, unit time
-  }
+  });
 
   res.time = static_cast<core::Cost>(T);
   res.guest_time = static_cast<core::Cost>(T);

@@ -7,148 +7,17 @@
 // detectably wrong final values. `rule110` and `parity_rule` are
 // classical cellular automata (the m=1 guests of Theorems 2 and 5 —
 // "systolic network or cellular automaton").
-// The mixing, XOR and rule-110 workloads also come as *kernel structs*
-// (MixKernel, XorKernel, Rule110Kernel, Rule110LanesKernel): concrete
-// functors whose scalar call is bit-identical to the std::function
-// factories below, plus a `row` member satisfying sep::simd::RowKernel
-// for D = 1, 2 so the separator executor's leaf loop (and soa_rule's
-// 64-lane batch form) can evaluate whole SoA spans per call. Pass a
-// kernel to Executor::execute_with_rule to get the vector path; the
-// factories keep returning type-erased rules for everything else.
+// mix_rule, xor_rule, rule110 and rule110_lanes return a sep::Rule
+// holding their kernel struct (sep/kernels.hpp: MixKernel, XorKernel,
+// Rule110Kernel, Rule110LanesKernel), so every simulator runs them on
+// the concrete type and the executor's leaves take the SIMD row path;
+// the other factories return rules holding a sep::FunctionKernel.
 #pragma once
 
 #include "core/rng.hpp"
 #include "sep/guest.hpp"
-#include "sep/simd.hpp"
 
 namespace bsmp::workload {
-
-namespace detail {
-
-/// splitmix64 finalizer — the avalanche primitive of mix_rule and
-/// random_input. Pure integer, so identical on every ISA.
-inline sep::Word mix64(sep::Word z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Position fingerprint folded into every mix_rule evaluation.
-template <int D>
-inline sep::Word position_tag(const geom::Point<D>& p) {
-  sep::Word h = static_cast<sep::Word>(p.t) * 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < D; ++i)
-    h = mix64(h ^ static_cast<sep::Word>(p.x[i]));
-  return h;
-}
-
-// Row kernels (rules.cpp, compiled as BSMP_SIMD_CLONES): the
-// sep::simd::RowKernel contract — out[i] = rule(p_i, self[i],
-// {nbrs[k][i]}) with p_i's innermost coordinate p0.x[D-1] + xstride*i.
-void mix_row_d1(sep::Word* out, const sep::Word* self,
-                const sep::Word* const* nbrs, std::size_t n,
-                geom::Point<1> p0, std::int64_t xstride);
-void mix_row_d2(sep::Word* out, const sep::Word* self,
-                const sep::Word* const* nbrs, std::size_t n,
-                geom::Point<2> p0, std::int64_t xstride);
-void xor_row_d1(sep::Word* out, const sep::Word* self,
-                const sep::Word* const* nbrs, std::size_t n);
-void xor_row_d2(sep::Word* out, const sep::Word* self,
-                const sep::Word* const* nbrs, std::size_t n);
-void rule110_row(sep::Word* out, const sep::Word* self,
-                 const sep::Word* const* nbrs, std::size_t n);
-void rule110_lanes_row(sep::Word* out, const sep::Word* self,
-                       const sep::Word* const* nbrs, std::size_t n);
-
-}  // namespace detail
-
-/// Kernel form of mix_rule (scalar call bit-identical; see header).
-template <int D>
-struct MixKernel {
-  sep::Word operator()(const geom::Point<D>& p, sep::Word self,
-                       const sep::NeighborWords<D>& nbrs) const {
-    sep::Word h = detail::mix64(self ^ detail::position_tag<D>(p));
-    for (int k = 0; k < geom::kMono<D>; ++k)
-      h = detail::mix64(h + nbrs[static_cast<std::size_t>(k)] *
-                                0x2545f4914f6cdd1dULL);
-    return h;
-  }
-  void row(sep::Word* out, const sep::Word* self,
-           const sep::Word* const* nbrs, std::size_t n, geom::Point<1> p0,
-           std::int64_t xstride) const
-    requires(D == 1)
-  {
-    detail::mix_row_d1(out, self, nbrs, n, p0, xstride);
-  }
-  void row(sep::Word* out, const sep::Word* self,
-           const sep::Word* const* nbrs, std::size_t n, geom::Point<2> p0,
-           std::int64_t xstride) const
-    requires(D == 2)
-  {
-    detail::mix_row_d2(out, self, nbrs, n, p0, xstride);
-  }
-};
-
-/// Kernel form of xor_rule (position-independent, so the row kernel
-/// ignores p0/xstride).
-template <int D>
-struct XorKernel {
-  sep::Word operator()(const geom::Point<D>&, sep::Word self,
-                       const sep::NeighborWords<D>& nbrs) const {
-    sep::Word h = self;
-    for (int k = 0; k < geom::kMono<D>; ++k)
-      h ^= nbrs[static_cast<std::size_t>(k)];
-    return h;
-  }
-  void row(sep::Word* out, const sep::Word* self,
-           const sep::Word* const* nbrs, std::size_t n, geom::Point<1>,
-           std::int64_t) const
-    requires(D == 1)
-  {
-    detail::xor_row_d1(out, self, nbrs, n);
-  }
-  void row(sep::Word* out, const sep::Word* self,
-           const sep::Word* const* nbrs, std::size_t n, geom::Point<2>,
-           std::int64_t) const
-    requires(D == 2)
-  {
-    detail::xor_row_d2(out, self, nbrs, n);
-  }
-};
-
-/// Kernel form of rule110 (LSB automaton).
-struct Rule110Kernel {
-  sep::Word operator()(const geom::Point<1>&, sep::Word self,
-                       const sep::NeighborWords<1>& nbrs) const {
-    unsigned left = static_cast<unsigned>(nbrs[0] & 1);
-    unsigned mid = static_cast<unsigned>(self & 1);
-    unsigned right = static_cast<unsigned>(nbrs[1] & 1);
-    unsigned idx = (left << 2) | (mid << 1) | right;
-    return (0b01101110u >> idx) & 1u;  // rule 110 truth table
-  }
-  void row(sep::Word* out, const sep::Word* self,
-           const sep::Word* const* nbrs, std::size_t n, geom::Point<1>,
-           std::int64_t) const {
-    detail::rule110_row(out, self, nbrs, n);
-  }
-};
-
-/// Kernel form of rule110_lanes (bit-sliced batch automaton).
-struct Rule110LanesKernel {
-  sep::Word operator()(const geom::Point<1>&, sep::Word self,
-                       const sep::NeighborWords<1>& nbrs) const {
-    // Rule 110 on every bit position at once: out = (m|r) & ~(l&m&r)
-    // reproduces the truth table 01101110 per bit, so bit l of the
-    // word evolves exactly as a scalar rule110() run of lane l.
-    const sep::Word l = nbrs[0], m = self, r = nbrs[1];
-    return (m | r) & ~(l & m & r);
-  }
-  void row(sep::Word* out, const sep::Word* self,
-           const sep::Word* const* nbrs, std::size_t n, geom::Point<1>,
-           std::int64_t) const {
-    detail::rule110_lanes_row(out, self, nbrs, n);
-  }
-};
 
 /// Avalanche-mixing rule: value = h(self_prev, neighbors, position).
 template <int D>

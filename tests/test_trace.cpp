@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -208,4 +210,40 @@ TEST(TraceFlush, ChromeJsonIsBalancedAndCarriesManifest) {
               std::string::npos)
         << "category missing from flushed trace: " << cat;
   std::remove(path.c_str());
+}
+
+// A malformed BSMP_TRACE is read on the first enabled() / set_enabled()
+// call and throws there, like every other knob; the state stays unread
+// so a later call re-reads the (fixed) variable. tests/CMakeLists.txt
+// also runs this test in a child started with BSMP_TRACE=x, which
+// shows the binary reaches main with that value set.
+TEST(TraceKnob, MalformedValueThrows) {
+#if BSMP_TRACE_ENABLED
+  namespace td = trace::detail;
+  const char* prev = std::getenv("BSMP_TRACE");
+  const std::string saved_env = prev != nullptr ? prev : "";
+  const std::uint8_t saved = td::g_state.load();
+
+  ::setenv("BSMP_TRACE", "x", 1);
+  td::g_state.store(td::kUnread);
+  EXPECT_THROW(trace::enabled(), std::invalid_argument);
+  EXPECT_EQ(td::g_state.load(), td::kUnread);
+  EXPECT_THROW(trace::set_enabled(true), std::invalid_argument);
+  EXPECT_EQ(td::g_state.load(), td::kUnread);
+
+  ::setenv("BSMP_TRACE", "on", 1);
+  EXPECT_TRUE(trace::enabled());
+  td::g_state.store(td::kUnread);
+  ::setenv("BSMP_TRACE", "off", 1);
+  trace::set_enabled(true);
+  EXPECT_TRUE(trace::enabled());
+
+  if (prev != nullptr)
+    ::setenv("BSMP_TRACE", saved_env.c_str(), 1);
+  else
+    ::unsetenv("BSMP_TRACE");
+  td::g_state.store(saved);
+#else
+  GTEST_SKIP() << "BSMP_TRACE compiled out";
+#endif
 }
