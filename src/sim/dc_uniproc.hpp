@@ -140,6 +140,7 @@ SimResult<D, V> simulate_dc_uniproc(const sep::BasicGuest<D, V>& guest,
   }
 
   res.vertices = exec.vertices_executed();
+  res.row_leaves = exec.row_leaves();
   res.time = res.ledger.total();
   res.guest_time = static_cast<core::Cost>(st.horizon);
   res.final_values = extract_final<D>(st, staging);

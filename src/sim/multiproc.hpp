@@ -255,6 +255,7 @@ class MultiprocSimulator {
 
     for (auto& l : ledgers_) res.ledger += l;
     res.vertices = exec_->vertices_executed();
+    res.row_leaves = exec_->row_leaves();
     res.time = clocks_.makespan();
     res.guest_time = static_cast<core::Cost>(st.horizon);
     res.utilization = clocks_.utilization();

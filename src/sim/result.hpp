@@ -21,6 +21,7 @@ struct SimResult {
                                 ///< excluded from `time` as the paper
                                 ///< amortizes it over repeated cycles
   std::int64_t vertices = 0;    ///< dag vertices executed
+  std::int64_t row_leaves = 0;  ///< leaves run on the SIMD row path
   double utilization = 1.0;     ///< busy / (p * makespan)
 
   /// The guest-visible outputs: the last-written value of every memory
