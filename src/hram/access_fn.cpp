@@ -25,7 +25,11 @@ core::Cost AccessFn::operator()(std::uint64_t addr) const {
     case Kind::kUnit:
       return 1.0;
     case Kind::kHierarchical: {
-      double c = std::pow(static_cast<double>(addr) / a_, b_);
+      // d = 1: pow(q, 1.0) == q exactly (AccessFn.D1IdentityIsExact checks
+      // it against this libm), so skip the call. d = 2 keeps pow:
+      // sqrt(q) differs from pow(q, 0.5) in the last bit for some q.
+      const double q = static_cast<double>(addr) / a_;
+      double c = b_ == 1.0 ? q : std::pow(q, b_);
       return c < 1.0 ? 1.0 : c;
     }
     case Kind::kPower: {

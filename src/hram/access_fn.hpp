@@ -11,6 +11,11 @@
 // We also provide the uniform-cost RAM (the "instantaneous model" used
 // as the Brent baseline) and a generic power law a*x^alpha (the form
 // assumed by Proposition 3).
+//
+// operator() is the one definition of every charged access cost; it
+// evaluates std::pow except for d = 1, where x/m is already the exact
+// result. Per-access callers go through a CostTable (cost_table.hpp),
+// which calls operator() once per distinct address and keeps its bits.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,10 @@
 //    paper's introduction) that read/write real words at real addresses;
 //  * as the cost oracle of the separator executor, which charges block
 //    transfers at model addresses without materializing each word.
+//
+// Single-word charges (read, write, touch) come from the RAM's
+// CostTable, so f is evaluated once per distinct address; block
+// charges evaluate f at the block's far end, once per call.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +18,7 @@
 
 #include "core/cost.hpp"
 #include "hram/access_fn.hpp"
+#include "hram/cost_table.hpp"
 
 namespace bsmp::hram {
 
@@ -42,11 +47,12 @@ class HRam {
   /// `max_addr`, without touching data. Honors pipelining.
   core::Cost touch_block(std::size_t max_addr, std::size_t len);
 
-  /// Copy `len` words from `src` to `dst` (non-overlapping), charging
-  /// the read block and the write block.
+  /// Copy `len` words from `src` to `dst`, charging the read block and
+  /// the write block. Overlapping ranges are rejected before anything
+  /// is charged.
   void block_copy(std::size_t src, std::size_t dst, std::size_t len);
 
-  const AccessFn& access_fn() const { return f_; }
+  const AccessFn& access_fn() const { return cost_.fn(); }
   bool pipelined() const { return pipelined_; }
 
   core::CostLedger& ledger() { return ledger_; }
@@ -59,7 +65,7 @@ class HRam {
   void note_addr(std::size_t addr);
 
   std::vector<Word> mem_;
-  AccessFn f_;
+  CostTable cost_;
   bool pipelined_;
   core::CostLedger ledger_;
   std::size_t peak_addr_ = 0;

@@ -12,6 +12,10 @@
 //    memory is pipelined — a step's worth of accesses costs one
 //    latency plus one word per unit time, eliminating the locality
 //    slowdown entirely.
+//
+// Every host processor's memory spans the same local addresses
+// [0, span·m), so one hram::CostTable per call serves every local
+// access charge, and f is evaluated once per distinct address.
 #pragma once
 
 #include <chrono>
@@ -20,6 +24,7 @@
 
 #include "core/expect.hpp"
 #include "engine/metrics.hpp"
+#include "hram/cost_table.hpp"
 #include "machine/clocks.hpp"
 #include "machine/spec.hpp"
 #include "sep/guest.hpp"
@@ -91,6 +96,17 @@ SimResult<D, V> simulate_naive(const sep::BasicGuest<D, V>& guest,
   const std::int64_t n = st.num_nodes();
   const std::int64_t T = st.horizon;
   const std::int64_t m = st.m;
+  // f at each local address [0, span·m); only the per-word
+  // (non-pipelined) charges read it.
+  hram::CostTable local_f(f, static_cast<std::size_t>(span * m));
+  // One pipelined sweep per processor: latency to the far end of its
+  // memory plus one unit per word touched (cell + neighbors).
+  const core::Cost sweep =
+      cfg.pipelined
+          ? f(static_cast<std::uint64_t>(span * m)) +
+                static_cast<core::Cost>(span) *
+                    static_cast<core::Cost>(2 * D + 2)
+          : 0.0;
 
   machine::ProcClocks clocks(host.p);
   SimResult<D, V> res;
@@ -107,11 +123,6 @@ SimResult<D, V> simulate_naive(const sep::BasicGuest<D, V>& guest,
   sep::visit_rule(guest.rule, [&](const auto& rule) {
     for (std::int64_t t = 0; t < T; ++t) {
       if (cfg.pipelined) {
-        // One pipelined sweep per processor: latency to the far end of
-        // its memory plus one unit per word touched (cell + neighbors).
-        core::Cost sweep =
-            f(static_cast<std::uint64_t>(span * m)) +
-            static_cast<core::Cost>(span) * static_cast<core::Cost>(2 * D + 2);
         for (std::int64_t pr = 0; pr < host.p; ++pr) clocks.advance(pr, sweep);
         res.ledger.charge(core::CostKind::kLocalAccess,
                           sweep * static_cast<core::Cost>(host.p),
@@ -130,14 +141,14 @@ SimResult<D, V> simulate_naive(const sep::BasicGuest<D, V>& guest,
         if (t == 0) {
           value = guest.input(x, 0);
           if (!cfg.pipelined)
-            local_cost += f(static_cast<std::uint64_t>(pl.local_index * m));
+            local_cost += local_f(static_cast<std::size_t>(pl.local_index * m));
         } else {
           V self_prev =
               (t >= m) ? ring[t % m][idx] : guest.input(x, t % m);
           // Cell read + write in the node's private region.
-          std::uint64_t cell_addr =
-              static_cast<std::uint64_t>(pl.local_index * m + (t % m));
-          if (!cfg.pipelined) local_cost += 2.0 * f(cell_addr);
+          const auto cell_addr =
+              static_cast<std::size_t>(pl.local_index * m + (t % m));
+          if (!cfg.pipelined) local_cost += 2.0 * local_f(cell_addr);
 
           sep::BasicNeighbors<D, V> nbrs{};
           const auto& prev = ring[(t - 1) % m];
@@ -151,7 +162,7 @@ SimResult<D, V> simulate_naive(const sep::BasicGuest<D, V>& guest,
               if (qpl.proc == pl.proc) {
                 if (!cfg.pipelined)
                   local_cost +=
-                      f(static_cast<std::uint64_t>(qpl.local_index * m));
+                      local_f(static_cast<std::size_t>(qpl.local_index * m));
               } else {
                 comm_cost += link;  // one word over one near-neighbor link
               }
