@@ -39,9 +39,11 @@ struct SweepMetric {
   int pool_threads = 1;     ///< executors of the pool that ran the sweep
   double wall_s = 0;        ///< whole-sweep wall clock
   /// Fork-join counters attributable to *this* sweep: the scheduler
-  /// delta from sweep start to sweep end. Exact when sweeps on one
-  /// pool do not overlap (they never do in the emitters); concurrent
-  /// sweeps would each absorb the other's forks.
+  /// delta from sweep start to sweep end. Every point is one fork, so
+  /// spawned + inlined is at least `points`; forks made inside the
+  /// points add to it. Exact when sweeps on one pool do not overlap
+  /// (they never do in the emitters); concurrent sweeps would each
+  /// absorb the other's forks.
   TaskStats tasks;
   std::vector<PointMetric> per_point;  ///< in point order
 
@@ -186,13 +188,13 @@ struct MetricsPass {
 ///     { "threads": 1, "seconds": 2.31,
 ///       "cache": {"hits": 93, "misses": 3, "builds": 3,
 ///                 "hit_rate": 0.968},
-///       "tasks": {"spawned": 96, "inlined": 32, "stolen": 41,
-///                 "steal_ops": 12, "join_waits": 7},
+///       "tasks": {"spawned": 0, "inlined": 32, "stolen": 0,
+///                 "steal_ops": 0, "join_waits": 0},
 ///       "sweeps": [
 ///         { "label": "e6d m=1", "points": 32, "pool_threads": 1,
 ///           "wall_s": 0.71, "busy_s": 0.70, "occupancy": 0.99,
-///           "tasks": {"spawned": 12, "inlined": 4, "stolen": 5,
-///                     "steal_ops": 2, "join_waits": 1},
+///           "tasks": {"spawned": 0, "inlined": 32, "stolen": 0,
+///                     "steal_ops": 0, "join_waits": 0},
 ///           "per_point": [ {"index": 0, "queue_wait_s": 0.0,
 ///                           "run_s": 0.02}, ... ] } ],
 ///       "hot": [
@@ -262,8 +264,11 @@ struct MetricsPass {
 /// with a hot-metrics sink. The pass-level "tasks" object carries the
 /// pass's fork-join scheduler counters (engine::TaskStats): tasks
 /// pushed to worker deques, tasks executed inline, tasks taken by
-/// steals, steal batches, and joins that had to sleep. All zero when
-/// nothing forked — the counters are observational, like the timing
+/// steals, steal batches, and joins that had to sleep. Sweep points
+/// are tasks (Pool::parallel_for forks one per point, under the
+/// "none" phase), so every sweep counts its points: spawned on a
+/// multi-slot pool, inlined on Pool(1). All zero only when nothing
+/// swept or forked — the counters are observational, like the timing
 /// fields.
 struct MetricsReport {
   std::string name;                 ///< emitter / bench name ("e6d")

@@ -1,9 +1,6 @@
 #include "engine/pool.hpp"
 
-#include <algorithm>
 #include <optional>
-
-#include "core/expect.hpp"
 
 namespace bsmp::engine {
 
@@ -14,149 +11,25 @@ int Pool::hardware_threads() {
 
 Pool::Pool(int threads)
     : size_(threads <= 0 ? hardware_threads() : threads), sched_(size_) {
-  sched_.set_wake([this] {
-    // Lock-then-notify so a worker between its predicate check and the
-    // wait cannot miss the task that was just enqueued.
-    { std::lock_guard<std::mutex> lk(mu_); }
-    cv_work_.notify_all();
-  });
   workers_.reserve(static_cast<std::size_t>(size_ - 1));
   for (int i = 1; i < size_; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, i] { sched_.serve(i); });
 }
 
 Pool::~Pool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
+  sched_.stop();
   for (auto& w : workers_) w.join();
-}
-
-void Pool::record_error(std::size_t index) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!error_ || index < error_index_) {
-    error_ = std::current_exception();
-    error_index_ = index;
-  }
-}
-
-void Pool::drain() {
-  for (;;) {
-    std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) return;
-    try {
-      (*body_)(i);
-    } catch (...) {
-      record_error(i);
-    }
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(mu_);
-      cv_done_.notify_all();
-    }
-  }
-}
-
-void Pool::worker_loop(int slot) {
-  // Workers keep their deque slot for their whole lifetime, so tasks
-  // forked from sweep bodies (or from other tasks) land on — and are
-  // stolen between — the pool's own threads.
-  TaskScheduler::Bind bind(&sched_, slot);
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] {
-        return stop_ || generation_ != seen || sched_.has_pending();
-      });
-      if (stop_) return;
-      if (generation_ == seen) {
-        // No new parallel_for job — woken for queued fork-join tasks.
-        lk.unlock();
-        sched_.run_pending(slot);
-        continue;
-      }
-      seen = generation_;
-      ++draining_;
-    }
-    drain();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --draining_;
-      if (draining_ == 0) cv_done_.notify_all();
-    }
-  }
 }
 
 void Pool::parallel_for(std::size_t n,
                         const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (TaskScheduler::current() == &sched_) {
-    // Nested call: this thread is already executing pool work (a
-    // parallel_for body or a task). The generation handoff below would
-    // deadlock — the old header said "must not be nested" — so route
-    // the indices through the fork-join layer instead. Same contract:
-    // every index runs, the lowest-index exception is rethrown.
-    TaskScope scope;
-    for (std::size_t i = 0; i < n; ++i)
-      scope.fork([&body, i] { body(i); });
-    scope.join();
-    return;
-  }
-  if (size_ == 1 || n == 1) {
-    // Sequential reference path: no handoff, body runs on the caller.
-    // Same exception contract as the parallel path: every index runs,
-    // the lowest-index failure is rethrown. With workers available the
-    // caller still takes a scheduler slot so the body may fork.
-    std::optional<TaskScheduler::Bind> bind;
-    if (size_ > 1) bind.emplace(&sched_, 0);
-    std::exception_ptr first;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-    return;
-  }
-  {
-    // Wait out stragglers of the previous job before reusing the slots
-    // (a worker may still be draining an already-completed generation).
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] {
-      return remaining_.load(std::memory_order_acquire) == 0 &&
-             draining_ == 0;
-    });
-    body_ = &body;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    remaining_.store(n, std::memory_order_relaxed);
-    error_ = nullptr;
-    ++generation_;
-  }
-  cv_work_.notify_all();
-  {
-    // The caller is an executor too, on the parallel_for caller's slot.
-    TaskScheduler::Bind bind(&sched_, 0);
-    drain();
-  }
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] {
-      return remaining_.load(std::memory_order_acquire) == 0 &&
-             draining_ == 0;
-    });
-    body_ = nullptr;
-    n_ = 0;
-    if (error_) {
-      std::exception_ptr e = error_;
-      error_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
+  // A pool thread forks from its own slot; any other thread takes
+  // slot 0 for the call (throwing if another thread holds it).
+  std::optional<TaskScheduler::Bind> bind;
+  if (TaskScheduler::current() != &sched_) bind.emplace(&sched_, 0);
+  TaskScope scope;
+  for (std::size_t i = 0; i < n; ++i) scope.fork([&body, i] { body(i); });
+  scope.join();
 }
 
 }  // namespace bsmp::engine

@@ -1,38 +1,37 @@
 // Thread pool backing the sweep engine.
 //
-// A Pool owns `threads - 1` persistent worker threads; the caller of
-// parallel_for is the remaining executor, so Pool(k) runs a sweep on
-// exactly k threads and Pool(1) degenerates to a plain sequential loop
-// on the calling thread (no workers, no synchronization) — the
+// A Pool owns `threads - 1` persistent worker threads plus one
+// work-stealing TaskScheduler (engine/task.hpp) with a deque slot per
+// thread; the thread driving the pool is the remaining executor, so
+// Pool(k) runs on exactly k threads. The scheduler is the pool's only
+// way to run work in parallel: idle workers serve its deques, and
+// parallel_for is fork/join on it.
+//
+// parallel_for(n, body) forks body(0..n-1) in index order into one
+// TaskScope and joins it, blocking until every index has completed.
+// Exceptions thrown by body are captured; after all indices have run,
+// the exception of the *lowest-index* failing point is rethrown, so
+// error reporting is deterministic regardless of thread interleaving.
+// Pool(1) has a one-slot scheduler, so its forks run inline on the
+// calling thread in index order (no workers, no synchronization) — the
 // reference execution the conformance tests compare against.
 //
-// parallel_for(n, body) runs body(0..n-1) with dynamic index
-// distribution and blocks until every index has completed. Exceptions
-// thrown by body are captured; after all indices have run, the
-// exception of the *lowest-index* failing point is rethrown, so error
-// reporting is deterministic regardless of thread interleaving.
-//
-// The pool also hosts a work-stealing fork-join layer (engine/task.hpp):
-// every pool thread owns one TaskScheduler deque slot, and idle workers
-// drain queued tasks between (and during) parallel_for jobs. That makes
-// parallelism nestable:
-//   * code running on a pool thread may open an engine::TaskScope and
+// Because every call is a TaskScope, parallelism nests:
+//   * code running on a pool thread may open its own TaskScope and
 //     fork subtasks into the same worker set (the separator executor
 //     does this per recursion node);
-//   * a *nested* parallel_for on the same pool — a body calling back
-//     into its own pool, which formerly deadlocked — is detected via
-//     the thread's scheduler binding and routed through a TaskScope,
-//     preserving the run-all / lowest-index-exception contract;
-//   * bind_caller() hands the calling thread a slot so fork-join work
+//   * a parallel_for from a pool thread — a body calling back into its
+//     own pool — forks from that thread's slot and helps while it joins;
+//   * a call from any other thread binds it to slot 0 for the call.
+//     Slot 0 has one owner at a time, so a second outside thread
+//     calling while the first is inside throws precondition_error
+//     before running any of its body;
+//   * bind_caller() hands the calling thread slot 0 so fork-join work
 //     can be driven without a surrounding parallel_for.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -49,7 +48,7 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  /// Total executors (workers + the calling thread of parallel_for).
+  /// Total executors (workers + the thread driving the pool).
   int size() const { return size_; }
 
   /// Run body(i) for every i in [0, n); blocks until all complete.
@@ -57,18 +56,19 @@ class Pool {
                     const std::function<void(std::size_t)>& body);
 
   /// Bind the calling thread to the pool's task scheduler (slot 0, the
-  /// parallel_for caller's slot) so TaskScope forks made on this thread
-  /// are executed by the pool's workers. Intended for driving fork-join
-  /// work directly, without a parallel_for; at most one thread may hold
-  /// the binding at a time — a second thread binding slot 0 (including
-  /// via parallel_for) throws precondition_error rather than silently
-  /// sharing the caller's deque.
+  /// slot parallel_for gives an outside caller) so TaskScope forks made
+  /// on this thread are executed by the pool's workers. Intended for
+  /// driving fork-join work directly, without a parallel_for; at most
+  /// one thread may hold the binding at a time — a second thread
+  /// binding slot 0 (including via parallel_for) throws
+  /// precondition_error rather than silently sharing the caller's deque.
   [[nodiscard]] TaskScheduler::Bind bind_caller() {
     return TaskScheduler::Bind(&sched_, 0);
   }
 
-  /// Counters of the pool's fork-join layer (tasks spawned / inlined,
-  /// steals, join waits) — the `tasks` block of the metrics artifact.
+  /// Counters of the pool's scheduler (tasks spawned / inlined, steals,
+  /// join waits; parallel_for indices included) — the `tasks` block of
+  /// the metrics artifact.
   TaskStats task_stats() const { return sched_.stats(); }
   void reset_task_stats() { sched_.reset_stats(); }
 
@@ -76,29 +76,8 @@ class Pool {
   static int hardware_threads();
 
  private:
-  void worker_loop(int slot);
-  void drain();
-  void record_error(std::size_t index);
-
   int size_ = 1;
   TaskScheduler sched_;
-
-  std::mutex mu_;
-  std::condition_variable cv_work_;   // workers wait for a job or tasks
-  std::condition_variable cv_done_;   // caller waits for completion
-  std::uint64_t generation_ = 0;      // bumped per parallel_for
-  bool stop_ = false;
-
-  // Current job (valid while remaining_ > 0 or draining_ > 0).
-  const std::function<void(std::size_t)>* body_ = nullptr;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> remaining_{0};
-  int draining_ = 0;  // workers currently inside drain(), guarded by mu_
-
-  std::exception_ptr error_;
-  std::size_t error_index_ = 0;
-
   std::vector<std::thread> workers_;
 };
 

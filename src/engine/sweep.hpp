@@ -1,6 +1,8 @@
 // The sweep engine: evaluate a vector of sweep points across a Pool
 // and merge the per-point rows back in *point order*, regardless of
-// which thread finished which point first.
+// which thread finished which point first. Each point is one task of
+// the pool's scheduler (Pool::parallel_for forks them in point order
+// and joins), so forks made inside a point share the same workers.
 //
 // Determinism contract (locked down by tests/test_engine_determinism):
 // for a fixed point vector, row function, and seed, run() returns the
@@ -19,6 +21,7 @@
 //
 // Observability is strictly on the side: when SweepOptions::metrics is
 // set, run() additionally records per-point wall clock / queue wait
+// and the sweep's task-counter delta (its points plus their forks)
 // into an engine::Metrics sink (see metrics.hpp) without touching the
 // rows — timings vary run to run, tables never do.
 #pragma once

@@ -77,7 +77,6 @@ void TaskScheduler::push(int slot, Task t) {
     s.q.push_back(std::move(t));
   }
   notify_progress();
-  if (wake_) wake_();
 }
 
 bool TaskScheduler::try_acquire(int slot, Task& out) {
@@ -140,13 +139,30 @@ void TaskScheduler::run(Task& t) {
   t.scope->finished();
 }
 
-void TaskScheduler::run_pending(int slot) {
-  Task t;
-  while (try_acquire(slot, t)) run(t);
+void TaskScheduler::serve(int slot) {
+  Bind bind(this, slot);
+  for (;;) {
+    Task t;  // per iteration: a finished task's closure is not kept idle
+    if (try_acquire(slot, t)) {
+      run(t);
+      continue;
+    }
+    std::unique_lock<std::mutex> lk(sleep_mu_);
+    sleep_cv_.wait(lk, [&] { return stop_ || has_pending(); });
+    if (stop_) return;
+  }
+}
+
+void TaskScheduler::stop() {
+  {
+    std::lock_guard<std::mutex> lk(sleep_mu_);
+    stop_ = true;
+  }
+  sleep_cv_.notify_all();
 }
 
 void TaskScheduler::notify_progress() {
-  // Empty critical section: any joiner between its predicate check and
+  // Empty critical section: any thread between its predicate check and
   // the wait is forced to observe the state change.
   { std::lock_guard<std::mutex> lk(sleep_mu_); }
   sleep_cv_.notify_all();

@@ -1,22 +1,24 @@
-// Work-stealing fork-join layer under the sweep engine.
+// Work-stealing fork-join layer: the one scheduler of engine::Pool.
 //
-// Pool::parallel_for distributes *sweep points*; this layer lets work
-// nest *inside* a point: any code running on a pool thread (a sweep
-// body, or a task itself) can open a TaskScope, fork subtasks into the
-// same worker set, and join them — no second pool, no dedicated
-// threads. The separator executor uses it to run sibling subregions of
-// one recursion node concurrently (doc/ENGINE.md "Task layer").
+// Every piece of parallel work in the engine is a task on this layer.
+// Pool::parallel_for forks one task per sweep point and joins them;
+// code running inside a point (or inside any task) can open its own
+// TaskScope and fork into the same worker set — no second pool, no
+// dedicated threads. The separator executor and the multiproc
+// simulator fork this way (doc/ENGINE.md "Task layer").
 //
 // Scheduling model:
-//   * every pool thread (workers and the parallel_for caller) owns one
-//     deque slot of the pool's TaskScheduler;
+//   * every pool thread (workers and the thread driving the pool)
+//     owns one deque slot of the pool's TaskScheduler;
 //   * fork() pushes onto the forking thread's deque (LIFO for the
 //     owner — depth-first, cache-friendly);
 //   * an idle thread steals the *older half* of a victim's deque
 //     (breadth-first for thieves — big subtrees migrate, not leaves);
 //   * join() helps: it runs queued tasks (its own first, then steals)
 //     until the scope's forks have all completed, so a joining thread
-//     is never parked while runnable work exists.
+//     is never parked while runnable work exists;
+//   * idle workers (serve()) and joiners that found nothing to run
+//     park on the scheduler's one mutex and condition variable.
 //
 // Determinism contract: fork() with no ambient scheduler — or a
 // single-thread one — runs the task inline, immediately, on the
@@ -26,8 +28,8 @@
 //
 // Exceptions: a task's exception is captured in its scope; join()
 // rethrows the exception of the *lowest fork index* that failed, after
-// every fork has completed — the same deterministic-error contract as
-// Pool::parallel_for.
+// every fork has completed. Pool::parallel_for inherits that contract
+// by forking its indices in order.
 #pragma once
 
 #include <array>
@@ -114,7 +116,7 @@ inline TaskStats operator-(TaskStats a, const TaskStats& b) {
 /// can find the ambient scheduler through a thread-local.
 class TaskScheduler {
  public:
-  /// One deque slot per pool thread (workers + the parallel_for caller).
+  /// One deque slot per pool thread (workers + the driving thread).
   explicit TaskScheduler(int slots);
 
   TaskScheduler(const TaskScheduler&) = delete;
@@ -134,10 +136,10 @@ class TaskScheduler {
   /// Slot of the calling thread (meaningful when current() != nullptr).
   static int current_slot();
 
-  /// RAII binding of the calling thread to a deque slot. Pool binds its
-  /// workers for their lifetime and the parallel_for caller for the
-  /// duration of the job; Pool::bind_caller() exposes the same binding
-  /// for code that drives fork-join work without a surrounding
+  /// RAII binding of the calling thread to a deque slot. serve() binds
+  /// a worker for its lifetime; Pool::parallel_for binds an outside
+  /// caller to slot 0 for the call, and Pool::bind_caller() exposes the
+  /// same binding for code that forks without a surrounding
   /// parallel_for. Saves and restores the previous binding.
   ///
   /// At most one thread may hold a given slot's binding at a time
@@ -160,17 +162,13 @@ class TaskScheduler {
     bool owned_ = false;  // this Bind claimed the slot (outermost holder)
   };
 
-  /// Hook invoked after a task is enqueued; the Pool uses it to wake
-  /// idle workers so they start draining the deques.
-  void set_wake(std::function<void()> wake) { wake_ = std::move(wake); }
+  /// Worker loop of one pool thread: bind `slot`, run queued tasks
+  /// (own deque first, then steals), and park while every deque is
+  /// empty. Returns once stop() has been called.
+  void serve(int slot);
 
-  /// True while any task sits in a deque.
-  bool has_pending() const {
-    return pending_.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Run queued tasks until none are pending (idle pool workers).
-  void run_pending(int slot);
+  /// Make every serve() loop return (the owning Pool's destructor).
+  void stop();
 
   /// Snapshot of the counters (relaxed reads; exact once quiescent).
   TaskStats stats() const;
@@ -193,7 +191,12 @@ class TaskScheduler {
     std::atomic<std::thread::id> owner{};
   };
 
-  /// Enqueue onto `slot`'s deque and wake sleepers.
+  /// True while any task sits in a deque.
+  bool has_pending() const {
+    return pending_.load(std::memory_order_acquire) != 0;
+  }
+
+  /// Enqueue onto `slot`'s deque and wake parked threads.
   void push(int slot, Task t);
 
   /// Pop the newest task of the own deque, else steal the older half of
@@ -205,17 +208,19 @@ class TaskScheduler {
   /// finished (waking joiners).
   static void run(Task& t);
 
-  /// Wake joiners parked in TaskScope::join (task finished or enqueued).
+  /// Wake every parked thread, idle workers and joiners alike (a task
+  /// was enqueued, or a scope's last fork finished).
   void notify_progress();
 
   int nslots_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<std::size_t> pending_{0};
-  std::function<void()> wake_;
 
-  // Parking lot for joiners that found no runnable work.
+  // Parking lot of idle workers and of joiners that found no runnable
+  // work; stop_ is guarded by sleep_mu_.
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
+  bool stop_ = false;
 
   std::atomic<std::uint64_t> spawned_{0};
   std::atomic<std::uint64_t> inlined_{0};
@@ -237,8 +242,7 @@ class TaskScheduler {
 /// blocks until every fork has completed, helping with queued work
 /// meanwhile, and rethrows the lowest-fork-index exception. Scopes
 /// nest freely: a task may open its own TaskScope on the same
-/// scheduler, and nested Pool::parallel_for calls are routed through
-/// one (pool.hpp).
+/// scheduler, and every Pool::parallel_for call is one (pool.hpp).
 class TaskScope {
  public:
   /// Captures the calling thread's ambient scheduler (may be none).

@@ -1,11 +1,13 @@
-// Unit tests for the fork-join task layer (engine/task.hpp) and its
-// integration with Pool: nested parallel_for routing (the former
-// "must not be nested" deadlock), empty ranges, single-thread inline
-// ordering (the sequential reference execution), exception contracts,
-// and the TaskStats counters.
+// Unit tests for the fork-join task layer (engine/task.hpp) and
+// Pool::parallel_for, which is fork/join on it: nested calls (the
+// former "must not be nested" deadlock), empty ranges, one outside
+// caller at a time, single-thread inline ordering (the sequential
+// reference execution), exception contracts, and the TaskStats
+// counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -14,7 +16,9 @@
 
 #include "core/expect.hpp"
 
+#include "engine/metrics.hpp"
 #include "engine/pool.hpp"
+#include "engine/sweep.hpp"
 #include "engine/task.hpp"
 
 using namespace bsmp;
@@ -91,6 +95,75 @@ TEST(PoolEdgeCases, NestedParallelForRethrowsLowestIndex) {
   // Every inner index ran despite the failures (same contract as the
   // top-level parallel_for).
   EXPECT_EQ(calls.load(), 16);
+}
+
+namespace {
+
+/// Spin (yielding) until `flag` is set or `limit` passes; false on
+/// timeout. Bounded, so a broken contract fails the test instead of
+/// hanging it.
+bool wait_for(const std::atomic<bool>& flag, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(PoolEdgeCases, SecondOutsideCallerThrowsWhileFirstRuns) {
+  // Two threads outside the pool call parallel_for on it at once. The
+  // first holds slot 0 for its whole call; the second must fail fast
+  // with precondition_error and run none of its body, and the first
+  // must still rethrow its own lowest-index exception.
+  engine::Pool pool(4);
+  std::atomic<bool> first_inside{false};
+  std::atomic<bool> second_done{false};
+  std::atomic<int> first_ran{0};
+  std::exception_ptr first_err;
+  std::thread first([&] {
+    try {
+      pool.parallel_for(4, [&](std::size_t i) {
+        ++first_ran;
+        first_inside = true;
+        if (i == 0) {
+          // Hold the call open until the second caller has returned.
+          wait_for(second_done, std::chrono::seconds(5));
+          throw std::runtime_error("first 0");
+        }
+        if (i == 2) throw std::runtime_error("first 2");
+      });
+    } catch (...) {
+      first_err = std::current_exception();
+    }
+  });
+  ASSERT_TRUE(wait_for(first_inside, std::chrono::seconds(5)));
+  std::atomic<int> second_ran{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&](std::size_t i) {
+                                   ++second_ran;
+                                   if (i == 0)
+                                     throw std::runtime_error("second 0");
+                                 }),
+               precondition_error);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  second_done = true;
+  first.join();
+  EXPECT_EQ(second_ran.load(), 0);
+  EXPECT_LT(waited, std::chrono::seconds(1)) << "the second call must not "
+                                                "wait for the first";
+  EXPECT_EQ(first_ran.load(), 4);
+  ASSERT_TRUE(first_err);
+  try {
+    std::rethrow_exception(first_err);
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first 0");
+  } catch (...) {
+    ADD_FAILURE() << "the first caller rethrew a foreign exception";
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -267,6 +340,39 @@ TEST(TaskStatsCounters, PhaseAttributionSplitsForks) {
   EXPECT_EQ(phase_total, s.spawned + s.inlined);
   EXPECT_EQ(phase_waits, s.join_waits);
   pool.reset_task_stats();
+}
+
+TEST(TaskStatsCounters, ParallelForIndicesAreTasks) {
+  // parallel_for forks one task per index: on a multi-slot pool every
+  // index is spawned, on Pool(1) every index runs inline.
+  {
+    engine::Pool pool(4);
+    pool.parallel_for(10, [](std::size_t) {});
+    EXPECT_EQ(pool.task_stats().spawned, 10u);
+    EXPECT_EQ(pool.task_stats().inlined, 0u);
+  }
+  {
+    engine::Pool pool(1);
+    pool.parallel_for(10, [](std::size_t) {});
+    EXPECT_EQ(pool.task_stats().spawned, 0u);
+    EXPECT_EQ(pool.task_stats().inlined, 10u);
+  }
+  // A sweep's per-sweep `tasks` delta therefore counts its points.
+  for (int threads : {1, 4}) {
+    engine::Pool pool(threads);
+    engine::Metrics sink;
+    engine::SweepOptions opt;
+    opt.metrics = &sink;
+    std::vector<int> points{1, 2, 3, 4, 5, 6, 7};
+    (void)engine::sweep_map<int>(
+        pool, points, [](int p, engine::SweepContext&) { return p; }, opt);
+    const auto sweeps = sink.snapshot();
+    ASSERT_EQ(sweeps.size(), 1u);
+    const engine::TaskStats& t = sweeps[0].tasks;
+    EXPECT_EQ(t.spawned + t.inlined, points.size()) << "threads=" << threads;
+    EXPECT_EQ(threads == 1 ? t.inlined : t.spawned, points.size())
+        << "threads=" << threads;
+  }
 }
 
 TEST(TaskStatsCounters, PhaseNamesAreStable) {
