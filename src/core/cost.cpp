@@ -53,37 +53,6 @@ void CostLedger::reset() {
   events_.fill(0);
 }
 
-void ChargeLog::replay_into(CostLedger& ledger) const {
-  // Per-kind addition order is all that matters for the merged doubles:
-  // each kind accumulates into its own slot, so replaying kind by kind
-  // reproduces the serial per-slot addition sequence even though the
-  // serial execution interleaved kinds.
-  for (std::size_t i = 0; i < kNumKinds; ++i) {
-    if (addends_[i].empty() && events_[i] == 0) continue;
-    auto s = ledger.stream(static_cast<CostKind>(i));
-    for (Cost c : addends_[i]) s.add_cost(c);
-    s.add_events(events_[i]);
-  }
-}
-
-void ChargeLog::replay_into(ChargeLog& log) const {
-  for (std::size_t i = 0; i < kNumKinds; ++i) {
-    log.addends_[i].insert(log.addends_[i].end(), addends_[i].begin(),
-                           addends_[i].end());
-    log.events_[i] += events_[i];
-  }
-}
-
-Cost ChargeLog::cost(CostKind kind) const {
-  Cost t = 0;
-  for (Cost c : addends_[static_cast<std::size_t>(kind)]) t += c;
-  return t;
-}
-
-std::uint64_t ChargeLog::events(CostKind kind) const {
-  return events_[static_cast<std::size_t>(kind)];
-}
-
 std::string CostLedger::report() const {
   std::ostringstream os;
   os << "total=" << total();

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/expect.hpp"
 
@@ -95,75 +94,6 @@ class CostLedger {
 
  private:
   std::array<Cost, kNumKinds> cost_{};
-  std::array<std::uint64_t, kNumKinds> events_{};
-};
-
-/// Order-preserving charge recorder for deterministic parallel merges.
-///
-/// Floating-point addition is order-sensitive, so a forked subtree must
-/// not sum its charges into a private CostLedger and merge totals — the
-/// merged double would differ from the serial one in the last bits. A
-/// ChargeLog instead records the *sequence* of cost addends per kind
-/// (events are integers and commute, so only their totals are kept).
-/// replay_into() then performs the recorded additions, in order, on the
-/// target — so replaying each forked child's log in canonical child
-/// order reproduces the serial execution's addition sequence exactly,
-/// and the charged totals are bit-identical at any thread count.
-///
-/// The API mirrors the CostLedger surface the executor charges through
-/// (charge() and stream()), so code can be templated over either.
-class ChargeLog {
- public:
-  static constexpr std::size_t kNumKinds = CostLedger::kNumKinds;
-
-  /// Record one addition of `cost` under `kind`, covering `events`.
-  void charge(CostKind kind, Cost cost, std::uint64_t events = 1) {
-    BSMP_REQUIRE(kind != CostKind::kKindCount);
-    auto i = static_cast<std::size_t>(kind);
-    addends_[i].push_back(cost);
-    events_[i] += events;
-  }
-
-  /// Inline recording handle (see CostLedger::Stream): each add_cost()
-  /// appends one addend, preserving the per-addition granularity the
-  /// replay needs. Invalidated by destroying the log.
-  class Stream {
-   public:
-    void add_cost(Cost cost) { addends_->push_back(cost); }
-    void add_events(std::uint64_t events) { *events_ += events; }
-
-   private:
-    friend class ChargeLog;
-    Stream(std::vector<Cost>* addends, std::uint64_t* events)
-        : addends_(addends), events_(events) {}
-    std::vector<Cost>* addends_;
-    std::uint64_t* events_;
-  };
-
-  /// Recording handle for one kind (see Stream).
-  Stream stream(CostKind kind) {
-    BSMP_REQUIRE(kind != CostKind::kKindCount);
-    auto i = static_cast<std::size_t>(kind);
-    return Stream(&addends_[i], &events_[i]);
-  }
-
-  /// Perform the recorded additions, in recorded order, on `ledger` —
-  /// bit-identical to having charged `ledger` directly.
-  void replay_into(CostLedger& ledger) const;
-
-  /// Append the recorded additions to another log (nested forks merge
-  /// child logs into their parent's before the parent itself replays).
-  void replay_into(ChargeLog& log) const;
-
-  /// Total of the recorded addends for one kind (sum in recorded
-  /// order — the same value replaying onto a zero ledger would yield).
-  Cost cost(CostKind kind) const;
-
-  /// Recorded events for one kind.
-  std::uint64_t events(CostKind kind) const;
-
- private:
-  std::array<std::vector<Cost>, kNumKinds> addends_{};
   std::array<std::uint64_t, kNumKinds> events_{};
 };
 

@@ -1,6 +1,6 @@
 // Zero-valued stand-in for the deleted slab arena. Its only includer is
 // perfbench/cpp/report.cpp, whose engine.arena_* per-layer metrics now
-// read 0; ROADMAP item 0 deletes this header together with them.
+// read 0; ROADMAP item 1 deletes this header together with them.
 #pragma once
 
 #include <cstdint>

@@ -101,29 +101,14 @@ void json_real(std::ostream& os, double v) {
 void json_tasks(std::ostream& os, const TaskStats& t) {
   os << "{\"spawned\": " << t.spawned << ", \"inlined\": " << t.inlined
      << ", \"stolen\": " << t.stolen << ", \"steal_ops\": " << t.steal_ops
-     << ", \"join_waits\": " << t.join_waits;
-  // Per-mechanism split: only phases that saw any fork/park activity.
-  bool any = false;
-  for (std::size_t i = 0; i < kNumForkPhases; ++i) {
-    const PhaseTaskStats& p = t.phase[i];
-    if (p.spawned == 0 && p.inlined == 0 && p.join_waits == 0 &&
-        p.park_ns == 0)
-      continue;
-    os << (any ? ", " : ", \"phases\": {");
-    any = true;
-    json_string(os, fork_phase_name(static_cast<ForkPhase>(i)));
-    os << ": {\"spawned\": " << p.spawned << ", \"inlined\": " << p.inlined
-       << ", \"join_waits\": " << p.join_waits
-       << ", \"park_ns\": " << p.park_ns << "}";
-  }
-  if (any) os << "}";
-  os << "}";
+     << ", \"join_waits\": " << t.join_waits << ", \"park_ns\": " << t.park_ns
+     << "}";
 }
 
 }  // namespace
 
 void MetricsReport::write_json(std::ostream& os) const {
-  os << "{\n  \"schema\": \"bsmp-metrics-v5\",\n  \"name\": ";
+  os << "{\n  \"schema\": \"bsmp-metrics-v6\",\n  \"name\": ";
   json_string(os, name);
   os << ",\n  \"speedup\": ";
   json_real(os, speedup());

@@ -175,7 +175,7 @@ struct MetricsPass {
 /// Schema (stable, versioned by the "schema" field):
 ///
 /// {
-///   "schema": "bsmp-metrics-v5",
+///   "schema": "bsmp-metrics-v6",
 ///   "name": "e6d",
 ///   "speedup": 1.02,
 ///   "manifest": { "name": "e6d", "git_sha": "6bd49c5...",
@@ -189,12 +189,12 @@ struct MetricsPass {
 ///       "cache": {"hits": 93, "misses": 3, "builds": 3,
 ///                 "hit_rate": 0.968},
 ///       "tasks": {"spawned": 0, "inlined": 32, "stolen": 0,
-///                 "steal_ops": 0, "join_waits": 0},
+///                 "steal_ops": 0, "join_waits": 0, "park_ns": 0},
 ///       "sweeps": [
 ///         { "label": "e6d m=1", "points": 32, "pool_threads": 1,
 ///           "wall_s": 0.71, "busy_s": 0.70, "occupancy": 0.99,
 ///           "tasks": {"spawned": 0, "inlined": 32, "stolen": 0,
-///                     "steal_ops": 0, "join_waits": 0},
+///                     "steal_ops": 0, "join_waits": 0, "park_ns": 0},
 ///           "per_point": [ {"index": 0, "queue_wait_s": 0.0,
 ///                           "run_s": 0.02}, ... ] } ],
 ///       "hot": [
@@ -213,6 +213,11 @@ struct MetricsPass {
 ///
 /// Every field below keeps the name, position and meaning it had in
 /// the version that introduced it (pinned by tests/test_metrics.cpp).
+/// v6 changes over v5:
+///   * per-tasks "park_ns" — wall time that joins spent parked waiting
+///     for other threads' tasks.
+///   * dropped: the per-tasks "phases" split. Sweep points are the only
+///     tasks, so it could only repeat the totals under "none".
 /// v5 changes over v4:
 ///   * dropped: the per-pass "mem" block (the slab-arena and scratch-
 ///     pool counters; staging levels and fork bookkeeping are now
@@ -250,13 +255,10 @@ struct MetricsPass {
 ///     section's leaf kernels took ("scalar" when the per-vertex loop
 ///     ran) and the 64-bit lanes per vector op of that ISA.
 ///   * per-tasks "phases" — the same fork-join counters split by the
-///     forking mechanism (engine::ForkPhase: "machine-tile",
-///     "regime1-relocate", "executor-leaf", "none" for unattributed
-///     scopes; older artifacts also carry "regime2-*"), each with
-///     "spawned", "inlined", "join_waits" and "park_ns" (wall time
-///     joins of that phase spent parked). Phases with all-zero
-///     counters are omitted; the object itself is omitted when no
-///     phase saw activity.
+///     forking mechanism ("machine-tile", "regime1-relocate",
+///     "executor-leaf", "regime2-*", "none"), each with "spawned",
+///     "inlined", "join_waits" and "park_ns"; omitted when no phase
+///     saw activity, and dropped again in v6.
 ///   * per-cache LRU residency fields and a per-pass "mem" block of
 ///     arena counters — both dropped again in v5.
 /// The "hot" array carries the executor hot-path sections recorded via
@@ -264,10 +266,10 @@ struct MetricsPass {
 /// with a hot-metrics sink. The pass-level "tasks" object carries the
 /// pass's fork-join scheduler counters (engine::TaskStats): tasks
 /// pushed to worker deques, tasks executed inline, tasks taken by
-/// steals, steal batches, and joins that had to sleep. Sweep points
-/// are tasks (Pool::parallel_for forks one per point, under the
-/// "none" phase), so every sweep counts its points: spawned on a
-/// multi-slot pool, inlined on Pool(1). All zero only when nothing
+/// steals, steal batches, joins that had to sleep and the time they
+/// slept. Sweep points are tasks (Pool::parallel_for forks one per
+/// point), so every sweep counts its points: spawned on a multi-slot
+/// pool, inlined on Pool(1). All zero only when nothing
 /// swept or forked — the counters are observational, like the timing
 /// fields.
 struct MetricsReport {

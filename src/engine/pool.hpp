@@ -18,8 +18,7 @@
 //
 // Because every call is a TaskScope, parallelism nests:
 //   * code running on a pool thread may open its own TaskScope and
-//     fork subtasks into the same worker set (the separator executor
-//     does this per recursion node);
+//     fork subtasks into the same worker set;
 //   * a parallel_for from a pool thread — a body calling back into its
 //     own pool — forks from that thread's slot and helps while it joins;
 //   * a call from any other thread binds it to slot 0 for the call.

@@ -18,20 +18,7 @@ thread_local int tl_slot = -1;
 TaskScheduler* TaskScheduler::current() { return tl_sched; }
 int TaskScheduler::current_slot() { return tl_slot; }
 
-const char* fork_phase_name(ForkPhase p) {
-  switch (p) {
-    case ForkPhase::kMachineTile:
-      return "machine-tile";
-    case ForkPhase::kRegime1Relocate:
-      return "regime1-relocate";
-    case ForkPhase::kExecutorLeaf:
-      return "executor-leaf";
-    case ForkPhase::kNone:
-    case ForkPhase::kCount:
-      break;
-  }
-  return "none";
-}
+const char* fork_phase_name(ForkPhase) { return "none"; }
 
 TaskScheduler::Bind::Bind(TaskScheduler* sched, int slot)
     : prev_sched_(tl_sched), prev_slot_(tl_slot), sched_(sched), slot_(slot) {
@@ -175,13 +162,8 @@ TaskStats TaskScheduler::stats() const {
   s.stolen = stolen_.load(std::memory_order_relaxed);
   s.steal_ops = steal_ops_.load(std::memory_order_relaxed);
   s.join_waits = join_waits_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kNumForkPhases; ++i) {
-    s.phase[i].spawned = phase_[i].spawned.load(std::memory_order_relaxed);
-    s.phase[i].inlined = phase_[i].inlined.load(std::memory_order_relaxed);
-    s.phase[i].join_waits =
-        phase_[i].join_waits.load(std::memory_order_relaxed);
-    s.phase[i].park_ns = phase_[i].park_ns.load(std::memory_order_relaxed);
-  }
+  s.park_ns = park_ns_.load(std::memory_order_relaxed);
+  s.phase = {PhaseTaskStats{s.spawned, s.inlined, s.join_waits, s.park_ns}};
   return s;
 }
 
@@ -191,18 +173,11 @@ void TaskScheduler::reset_stats() {
   stolen_.store(0, std::memory_order_relaxed);
   steal_ops_.store(0, std::memory_order_relaxed);
   join_waits_.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kNumForkPhases; ++i) {
-    phase_[i].spawned.store(0, std::memory_order_relaxed);
-    phase_[i].inlined.store(0, std::memory_order_relaxed);
-    phase_[i].join_waits.store(0, std::memory_order_relaxed);
-    phase_[i].park_ns.store(0, std::memory_order_relaxed);
-  }
+  park_ns_.store(0, std::memory_order_relaxed);
 }
 
-TaskScope::TaskScope(ForkPhase phase)
-    : sched_(TaskScheduler::current()),
-      slot_(TaskScheduler::current_slot()),
-      phase_(phase) {}
+TaskScope::TaskScope()
+    : sched_(TaskScheduler::current()), slot_(TaskScheduler::current_slot()) {}
 
 TaskScope::~TaskScope() {
   if (!joined_) {
@@ -239,11 +214,8 @@ void TaskScope::fork(std::function<void()> fn) {
   joined_ = false;
   if (sched_ == nullptr || !sched_->parallel()) {
     // Sequential reference path: inline, immediately, in fork order.
-    if (sched_ != nullptr) {
+    if (sched_ != nullptr)
       sched_->inlined_.fetch_add(1, std::memory_order_relaxed);
-      sched_->phase_[static_cast<std::size_t>(phase_)].inlined.fetch_add(
-          1, std::memory_order_relaxed);
-    }
     try {
       fn();
     } catch (...) {
@@ -253,8 +225,6 @@ void TaskScope::fork(std::function<void()> fn) {
   }
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   sched_->spawned_.fetch_add(1, std::memory_order_relaxed);
-  sched_->phase_[static_cast<std::size_t>(phase_)].spawned.fetch_add(
-      1, std::memory_order_relaxed);
   trace::instant(trace::Cat::kTask, "fork", static_cast<std::int64_t>(index));
   sched_->push(slot_, TaskScheduler::Task{std::move(fn), this, index});
 }
@@ -290,9 +260,7 @@ void TaskScope::join() {
     }
     if (waited) {
       sched_->join_waits_.fetch_add(1, std::memory_order_relaxed);
-      auto& pc = sched_->phase_[static_cast<std::size_t>(phase_)];
-      pc.join_waits.fetch_add(1, std::memory_order_relaxed);
-      pc.park_ns.fetch_add(park_ns, std::memory_order_relaxed);
+      sched_->park_ns_.fetch_add(park_ns, std::memory_order_relaxed);
     }
   }
   joined_ = true;

@@ -4,8 +4,9 @@
 // Pool::parallel_for forks one task per sweep point and joins them;
 // code running inside a point (or inside any task) can open its own
 // TaskScope and fork into the same worker set — no second pool, no
-// dedicated threads. The separator executor and the multiproc
-// simulator fork this way (doc/ENGINE.md "Task layer").
+// dedicated threads. The simulators themselves never fork: one
+// simulator call runs on the thread that executes its sweep point
+// (doc/ENGINE.md "Task layer").
 //
 // Scheduling model:
 //   * every pool thread (workers and the thread driving the pool)
@@ -49,40 +50,16 @@ namespace bsmp::engine {
 
 class TaskScope;
 
-/// Which mechanism a TaskScope forks for. Fork/park counters are split
-/// by phase so the metrics-v2 `tasks.phases` block can attribute
-/// parallelism (and its idle cost) to the simulator mechanism that
-/// created it — the advisor's per-mechanism calibration reads these.
-enum class ForkPhase : int {
-  kNone = 0,             ///< unattributed scope (default TaskScope())
-  kMachineTile,          ///< multiproc top-level machine-tile wavefronts
-  kRegime1Relocate,      ///< regime-1 relocation subtrees
-  kExecutorLeaf,         ///< standalone executor sibling-region forks
-  kCount,
-};
-
-inline constexpr std::size_t kNumForkPhases =
-    static_cast<std::size_t>(ForkPhase::kCount);
-
-/// Stable name of a phase, matching the trace span names where one
-/// exists ("machine-tile", "regime1-relocate", ...).
+/// Read by nothing; the benchmark harness still names them (ROADMAP item 1).
+enum class ForkPhase : int { kNone = 0 };
+inline constexpr std::size_t kNumForkPhases = 1;
 const char* fork_phase_name(ForkPhase p);
-
-/// Per-phase slice of the task counters (metrics-v2 `tasks.phases`).
 struct PhaseTaskStats {
-  std::uint64_t spawned = 0;     ///< tasks pushed onto a deque
-  std::uint64_t inlined = 0;     ///< forks executed inline (serial path)
-  std::uint64_t join_waits = 0;  ///< joins that parked (no runnable work)
-  std::uint64_t park_ns = 0;     ///< wall time spent parked in join()
+  std::uint64_t spawned = 0;
+  std::uint64_t inlined = 0;
+  std::uint64_t join_waits = 0;
+  std::uint64_t park_ns = 0;
 };
-
-inline PhaseTaskStats operator-(PhaseTaskStats a, const PhaseTaskStats& b) {
-  a.spawned -= b.spawned;
-  a.inlined -= b.inlined;
-  a.join_waits -= b.join_waits;
-  a.park_ns -= b.park_ns;
-  return a;
-}
 
 /// Task-layer counters of one scheduler (serialized into the per-pass
 /// and per-sweep `tasks` blocks of the bsmp-metrics-v2 artifact). All
@@ -94,7 +71,9 @@ struct TaskStats {
   std::uint64_t stolen = 0;      ///< tasks migrated by steal operations
   std::uint64_t steal_ops = 0;   ///< successful steal-half operations
   std::uint64_t join_waits = 0;  ///< joins that parked (no runnable work)
-  /// Same counters split by the forking mechanism (indexed by ForkPhase).
+  std::uint64_t park_ns = 0;     ///< wall time joins spent parked
+  /// The counters above, repeated for the benchmark harness (ROADMAP
+  /// item 1); read by nothing else.
   std::array<PhaseTaskStats, kNumForkPhases> phase{};
 };
 
@@ -106,8 +85,8 @@ inline TaskStats operator-(TaskStats a, const TaskStats& b) {
   a.stolen -= b.stolen;
   a.steal_ops -= b.steal_ops;
   a.join_waits -= b.join_waits;
-  for (std::size_t i = 0; i < kNumForkPhases; ++i)
-    a.phase[i] = a.phase[i] - b.phase[i];
+  a.park_ns -= b.park_ns;
+  a.phase = {PhaseTaskStats{a.spawned, a.inlined, a.join_waits, a.park_ns}};
   return a;
 }
 
@@ -227,15 +206,7 @@ class TaskScheduler {
   std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> steal_ops_{0};
   std::atomic<std::uint64_t> join_waits_{0};
-
-  /// Per-phase slices of spawned / inlined / join_waits / park_ns.
-  struct PhaseCounters {
-    std::atomic<std::uint64_t> spawned{0};
-    std::atomic<std::uint64_t> inlined{0};
-    std::atomic<std::uint64_t> join_waits{0};
-    std::atomic<std::uint64_t> park_ns{0};
-  };
-  std::array<PhaseCounters, kNumForkPhases> phase_{};
+  std::atomic<std::uint64_t> park_ns_{0};
 };
 
 /// A fork-join region. fork() schedules (or inlines) a task; join()
@@ -246,9 +217,7 @@ class TaskScheduler {
 class TaskScope {
  public:
   /// Captures the calling thread's ambient scheduler (may be none).
-  /// `phase` attributes this scope's fork/park counters to one
-  /// mechanism in the metrics-v2 `tasks.phases` block.
-  explicit TaskScope(ForkPhase phase = ForkPhase::kNone);
+  TaskScope();
   /// Joins (discarding any not-yet-rethrown exception) if the caller
   /// did not; prefer an explicit join().
   ~TaskScope();
@@ -275,7 +244,6 @@ class TaskScope {
 
   TaskScheduler* sched_;
   int slot_;
-  ForkPhase phase_;
   std::size_t next_index_ = 0;
   std::atomic<std::size_t> outstanding_{0};
   bool joined_ = false;

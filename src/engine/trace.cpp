@@ -300,9 +300,7 @@ RunManifest make_run_manifest(const std::string& name) {
   m.trace_compiled = compiled();
   m.trace_enabled = enabled();
   for (const char* knob : {"BSMP_TRACE", "BSMP_TRACE_BUFFER",
-                           "BSMP_METRICS_DIR", "BSMP_VALIDATE",
-                           "BSMP_PARALLEL_GRAIN", "BSMP_RELOC_GRAIN",
-                           "BSMP_WAVE_GRAIN", "BSMP_SIMD"})
+                           "BSMP_METRICS_DIR", "BSMP_VALIDATE", "BSMP_SIMD"})
     m.knobs.emplace_back(knob, env_or(knob, "unset"));
   m.trace_events = events_recorded();
   m.trace_dropped = dropped();

@@ -29,7 +29,7 @@
 // Timestamps are scheduling-dependent; the *set* of spans in the
 // deterministic categories (everything except kTask) is a pure
 // function of the work, which the trace determinism property test
-// pins across pool sizes and fork grains.
+// pins across pool sizes.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +55,7 @@ namespace bsmp::engine::trace {
 /// what); every other category is a deterministic function of the
 /// executed work.
 enum class Cat : std::uint8_t {
-  kTask = 0,    ///< task layer: task-run, fork, steal, join-park, merges
+  kTask = 0,    ///< task layer: task-run, fork, steal, join-park
   kSepRegion,   ///< separator recursion: sep-region nodes, sep-leaf batches
   kStaging,     ///< staging store maintenance: wavefront pruning
   kSweepPoint,  ///< sweep engine: sweeps, sweep points, plan builds

@@ -37,17 +37,16 @@
 // major x offset) instead of a hash map, with per-leaf batched
 // kCompute and a bit-exact kLocalAccess charge stream; every vertex is
 // evaluated by sep::eval_vertex (sep/guest.hpp), the one Definition-3
-// evaluator; staging is a StagingStore<D, V> (O(1) dense addressing),
-// or inside a fork a StagingShard over one (sep/staging.hpp). All
-// charged totals are bit-identical to the materializing
-// implementation; ExecutorConfig::validate re-enables the per-level
-// materialization, compares each served run list with its direct
-// walk, and asserts neither changes anything.
+// evaluator; staging is a StagingStore<D, V> (O(1) dense addressing;
+// sep/staging.hpp). All charged totals are bit-identical to the
+// materializing implementation; ExecutorConfig::validate re-enables the
+// per-level materialization, compares each served run list with its
+// direct walk, and asserts neither changes anything.
 //
-// Rule dispatch: execute() and execute_delta() resolve the guest's
-// rule kernel once per call (sep::visit_rule) and run the whole
-// recursion on the concrete callable, so no leaf makes a per-vertex
-// indirect call unless the rule is a FunctionKernel.
+// Rule dispatch: execute() resolves the guest's rule kernel once per
+// call (sep::visit_rule) and runs the whole recursion on the concrete
+// callable, so no leaf makes a per-vertex indirect call unless the rule
+// is a FunctionKernel.
 //
 // SIMD leaves (see doc/ENGINE.md "SIMD kernels"): when that kernel
 // advertises a row kernel (sep/simd.hpp RowKernel, e.g. MixKernel) and
@@ -62,34 +61,21 @@
 // staging and every emitted table are byte-identical with SIMD on,
 // off, or unavailable.
 //
-// Parallel recursion (see doc/ENGINE.md "Task layer"): when
-// ExecutorConfig::parallel_grain > 0 and an engine::TaskScheduler with
-// more than one slot is ambient on the calling thread, recursion nodes
-// of monotone width above the grain fork their *equal-uppers* runs of
-// children — Region::split() stable-sorts children by how many of
-// their monotone coordinates take the upper half, and within one such
-// run no child can feed another (each has a coordinate where it is
-// upper and the sibling lower, and monotone arcs only decrease
-// coordinates), so the run is an antichain of the recursion and its
-// order is semantically irrelevant. Each forked child runs against a
-// private StagingShard (reads fall through to the parent store) and a
-// core::ChargeLog; the join merges shards and replays logs in
-// canonical child order, so every charged double, the peak-staging
-// high-water mark, slab-allocation counts, and all final values are
-// bit-identical to the serial execution at any thread count.
+// Threads: one execute() call runs on the calling thread, in the
+// recursion's topological order. Host parallelism lives one level up:
+// sweep points run as tasks on engine::Pool (doc/ENGINE.md "Task
+// layer"), each with its own executor and staging store.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "core/cost.hpp"
 #include "core/expect.hpp"
-#include "engine/task.hpp"
 #include "engine/trace.hpp"
 #include "geom/region.hpp"
 #include "hram/access_fn.hpp"
@@ -120,13 +106,8 @@ struct ExecutorConfig {
   /// count == size equalities. Defaults from sep::validation_mode()
   /// (the BSMP_VALIDATE environment variable).
   bool validate = validation_mode();
-  /// Monotone width above which recursion nodes fork their equal-uppers
-  /// child runs into the ambient engine::TaskScheduler (see the header
-  /// comment). 0 disables forking; domains at or below the grain — and
-  /// all leaves — run serially on the calling thread. Execution is
-  /// bit-identical either way. Defaults from
-  /// sep::default_parallel_grain() (BSMP_PARALLEL_GRAIN).
-  int64_t parallel_grain = default_parallel_grain();
+  /// Read by nothing; the benchmark harness still sets it (ROADMAP item 1).
+  int64_t parallel_grain = 0;
 };
 
 /// Validation mode's check of a memoized boundary count (a charged
@@ -181,17 +162,6 @@ class Executor {
   /// took the row path.
   static constexpr std::int64_t kMinRowLeaf = 8;
 
-  /// Vertex and staging-footprint deltas of one execution, relative to
-  /// the staging store's state on entry: `net` is the change in live
-  /// values, `peak` the high-water mark of that change. Returned by
-  /// execute_delta() for the caller to absorb() after a parallel join.
-  struct ExecDelta {
-    std::int64_t vertices = 0;
-    std::int64_t net = 0;
-    std::int64_t peak = 0;
-    std::int64_t row_leaves = 0;
-  };
-
   /// Rebind the ledger charges are recorded into (per-processor ledgers
   /// in the multiprocessor simulators).
   void set_ledger(core::CostLedger* ledger) { ledger_ = ledger; }
@@ -223,10 +193,8 @@ class Executor {
 
   /// Execute domain U (see the contract above): afterwards the out-set
   /// values of U are in `staging` (enumerable via U.outset() /
-  /// U.outset_visit()). `Store` is StagingStore<D, V>, or a
-  /// StagingShard<D, V> over one for forked callers.
-  template <class Store>
-  void execute(const geom::Region<D>& U, Store& staging) {
+  /// U.outset_visit()).
+  void execute(const geom::Region<D>& U, StagingStore<D, V>& staging) {
     Probe probe = U.probe();
     execute(U, probe, staging);
   }
@@ -234,40 +202,15 @@ class Executor {
   /// execute() for a caller that queries U's memo answers itself:
   /// `probe` is U.probe(), shared by the caller's queries and the
   /// recursion's root.
-  template <class Store>
-  void execute(const geom::Region<D>& U, Probe& probe, Store& staging) {
-    visit_rule(guest_->rule, [&](const auto& rule) {
-      execute_root(U, probe, staging, rule);
-    });
-  }
-
-  /// Concurrency-safe execution for forked callers: run U with charges
-  /// recorded into `log` (instead of the bound ledger) and return the
-  /// deltas for the caller to absorb() after joining. Mutates only
-  /// `staging` and `log` — never the executor — so concurrent calls on
-  /// one Executor are safe provided their stores are disjoint (e.g.
-  /// per-fork StagingShards over a common base).
-  template <class Store>
-  ExecDelta execute_delta(const geom::Region<D>& U, Store& staging,
-                          core::ChargeLog& log) const {
-    Ctx<Store, core::ChargeLog> cx;
-    cx.staging = &staging;
-    cx.ledger = &log;
-    Probe probe = U.probe();
+  void execute(const geom::Region<D>& U, Probe& probe,
+               StagingStore<D, V>& staging) {
+    BSMP_REQUIRE(ledger_ != nullptr);
+    staging_ = &staging;
+    depth_ = 0;
+    note();
     visit_rule(guest_->rule,
-               [&](const auto& rule) { exec_rec(U, probe, cx, rule); });
-    return ExecDelta{cx.vertices, cx.cur, cx.peak, cx.row_leaves};
-  }
-
-  /// Fold an execute_delta() result into the executor's counters.
-  /// `base` is the live size the delta's execution started from (in
-  /// serial-equivalent order), so base + peak is the absolute
-  /// high-water mark the serial execution would have observed.
-  void absorb(const ExecDelta& d, std::size_t base) {
-    vertices_ += d.vertices;
-    row_leaves_ += d.row_leaves;
-    const std::size_t abs_peak = base + static_cast<std::size_t>(d.peak);
-    if (abs_peak > peak_staging_) peak_staging_ = abs_peak;
+               [&](const auto& rule) { exec_rec(U, probe, rule); });
+    staging_ = nullptr;
   }
 
   /// Total dag vertices executed so far.
@@ -283,33 +226,12 @@ class Executor {
   std::size_t peak_staging() const { return peak_staging_; }
 
  private:
-  /// The body of execute(), on the guest's concrete rule.
-  template <class Store, class RuleFn>
-  void execute_root(const geom::Region<D>& U, Probe& probe, Store& staging,
-                    const RuleFn& rule) {
-    BSMP_REQUIRE(ledger_ != nullptr);
-    const std::size_t base = staging.size();
-    Ctx<Store, core::CostLedger> cx;
-    cx.staging = &staging;
-    cx.ledger = ledger_;
-    // Hand the executor's persistent leaf scratch to the root context
-    // so steady-state serial execution stays allocation-free.
-    cx.vals.swap(leaf_vals_);
-    cx.off.swap(leaf_off_);
-    cx.self_row.swap(leaf_self_);
-    exec_rec(U, probe, cx, rule);
-    cx.vals.swap(leaf_vals_);
-    cx.off.swap(leaf_off_);
-    cx.self_row.swap(leaf_self_);
-    absorb(ExecDelta{cx.vertices, cx.cur, cx.peak, cx.row_leaves}, base);
-  }
-
-  /// Access-function costs of one context, memoized by width: the
-  /// charge factor f(S(w)) of a recursion node and f_leaf of a leaf
-  /// are pure functions of the width w, and the widths at one
-  /// recursion depth are the floor and ceil halves of the root width —
-  /// so two slots per depth serve every node after the first of each
-  /// width. Depths past the table evaluate directly.
+  /// Access-function costs, memoized by width: the charge factor
+  /// f(S(w)) of a recursion node and f_leaf of a leaf are pure
+  /// functions of the width w, and the widths at one recursion depth
+  /// are the floor and ceil halves of the root width — so two slots per
+  /// depth serve every node after the first of each width. Depths past
+  /// the table evaluate directly.
   struct CostMemo {
     static constexpr int kDepths = 32;
     std::array<std::int64_t, 2 * kDepths> width;
@@ -332,83 +254,35 @@ class Executor {
     }
   };
 
-  /// Per-execution mutable state. The recursion never touches executor
-  /// members directly; everything it mutates lives here, so forked
-  /// subtrees get private contexts and the executor itself stays
-  /// read-only during execution. Staging-footprint accounting is
-  /// *relative* (cur = net live delta since context entry, peak = its
-  /// high-water mark at the serial code's sample points), which makes
-  /// it exact under sharding: a join adds the parent's cur to the
-  /// child's peak, reproducing the absolute sizes a serial execution
-  /// would have sampled.
-  template <class Store, class Ledger>
-  struct Ctx {
-    Store* staging = nullptr;
-    Ledger* ledger = nullptr;
-    std::int64_t vertices = 0;
-    std::int64_t row_leaves = 0;
-    std::int64_t cur = 0;
-    std::int64_t peak = 0;
-    // Recursion depth below the execute() root, carried into forked
-    // sub-contexts so the sep-region trace spans label levels
-    // identically at any thread count.
-    int depth = 0;
-    // Leaf scratch (dense window values + per-level prefix offsets +
-    // the SIMD path's self-operand row), reused across this context's
-    // leaves.
-    std::vector<V> vals;
-    std::vector<std::size_t> off;
-    std::vector<V> self_row;
-    // Out-set size of the most recently executed leaf: the staging
-    // pass at the end of execute_leaf walks exactly the set
-    // outset_count() would re-derive, so exec_child reuses its tally
-    // for the step-3 charge instead of a second boundary pass.
-    std::int64_t leaf_out = 0;
-    // f(S(w)) per recursion node and f_leaf per leaf, by width; a
-    // forked sub-context starts its own.
-    CostMemo node_f;
-    CostMemo leaf_f;
-
-    void note() {
-      if (cur > peak) peak = cur;
-    }
-    void insert_span(const geom::Point<D>& q, const V* src, std::size_t n) {
-      cur += staging->insert_span(q, src, n);
-    }
-    void erase_span(const geom::Point<D>& q, std::int64_t hi) {
-      cur -= staging->erase_span(
-          q, static_cast<std::size_t>(hi - q.x[D - 1] + 1));
-    }
-  };
+  /// Sample the staging store's live size into the peak, at the
+  /// points the space-bound tests measure.
+  void note() {
+    peak_staging_ = std::max(peak_staging_, staging_->size());
+  }
 
   /// One recursion node U, whose probe() is `probe`.
-  template <class Store, class Ledger, class RuleFn>
-  void exec_rec(const geom::Region<D>& U, Probe& probe,
-                Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
+  template <class RuleFn>
+  void exec_rec(const geom::Region<D>& U, Probe& probe, const RuleFn& rule) {
     if (U.width() <= cfg_.leaf_width) {
       engine::trace::Span leaf_span(engine::trace::Cat::kSepRegion,
-                                    "sep-leaf", U.width(), cx.depth);
-      execute_leaf(U, probe, cx, rule);
-      cx.note();
+                                    "sep-leaf", U.width(), depth_);
+      execute_leaf(U, probe, rule);
+      note();
       return;
     }
 
     engine::trace::Span region_span(engine::trace::Cat::kSepRegion,
-                                    "sep-region", U.width(), cx.depth);
+                                    "sep-region", U.width(), depth_);
     const core::Cost fS =
-        cx.node_f.get(cx.depth, U.width(), [this](std::int64_t w) {
+        node_f_.get(depth_, U.width(), [this](std::int64_t w) {
           return cfg_.f(static_cast<std::uint64_t>(space_bound(w)));
         });
     typename geom::Region<D>::Children children;
     U.split_into(children, probe);
-    ++cx.depth;
-    if (should_fork(U)) {
-      exec_children_forked(U, children, fS, cx, rule);
-    } else {
-      for (const geom::Region<D>& child : children)
-        exec_child(U, child, fS, cx, rule);
-    }
-    --cx.depth;
+    ++depth_;
+    for (const geom::Region<D>& child : children)
+      exec_child(U, child, fS, rule);
+    --depth_;
 
     // Retain only U's out-set; everything else produced inside U is
     // dead (its successors are all inside U and already executed).
@@ -417,138 +291,67 @@ class Executor {
     // translation class, so past a class's first node the filter
     // costs one run per staged row.
     U.retention_runs(probe, [&](const geom::Point<D>& q, std::int64_t hi) {
-      cx.erase_span(q, hi);
+      staging_->erase_span(q,
+                           static_cast<std::size_t>(hi - q.x[D - 1] + 1));
     });
     if (cfg_.validate) {
       validate_runs<D>([&](auto&& f) { U.retention_runs(f); },
                        [&](auto&& f) { U.retention_spans(f); },
                        "retention_runs != retention_spans");
-      validate_outset(U, *cx.staging);
+      validate_outset(U);
     }
-    cx.note();
+    note();
   }
 
   /// One child of a recursion node: Proposition 2's three steps. The
   /// child's probe serves all of its memo queries, here and in its own
   /// recursion node or leaf.
-  template <class Store, class Ledger, class RuleFn>
+  template <class RuleFn>
   void exec_child(const geom::Region<D>& U, const geom::Region<D>& child,
-                  core::Cost fS, Ctx<Store, Ledger>& cx,
-                  const RuleFn& rule) const {
+                  core::Cost fS, const RuleFn& rule) {
     Probe probe = child.probe();
     // Step 1: bring the child's preboundary into the child's working
     // space. Presence in staging is exactly the topological-partition
     // property.
     const std::int64_t gin = child.preboundary_count(probe);
     if (cfg_.validate)
-      validate_preboundary(child, *cx.staging, U.width(), gin);
-    cx.ledger->charge(core::CostKind::kBlockMove,
+      validate_preboundary(child, U.width(), gin);
+    ledger_->charge(core::CostKind::kBlockMove,
                       2.0 * fS * static_cast<core::Cost>(gin),
                       static_cast<std::uint64_t>(gin));
 
     // Step 2: execute the child.
-    exec_rec(child, probe, cx, rule);
+    exec_rec(child, probe, rule);
 
     // Step 3: save the child's out-set for later children / parent.
     // Leaf children just walked their out-set to stage results;
     // their tally is the same value outset_count() recomputes.
     const std::int64_t child_out = child.width() <= cfg_.leaf_width
-                                       ? cx.leaf_out
+                                       ? leaf_out_
                                        : child.outset_count(probe);
     if (cfg_.validate) validate_outset_count(child, child_out);
-    cx.ledger->charge(core::CostKind::kBlockMove,
+    ledger_->charge(core::CostKind::kBlockMove,
                       2.0 * fS * static_cast<core::Cost>(child_out),
                       static_cast<std::uint64_t>(child_out));
   }
 
-  /// Fork when this node is above the grain and a multi-slot scheduler
-  /// is ambient on this thread (a worker or a bound caller of
-  /// engine::Pool). Without one, forks would run inline anyway — so
-  /// skipping the shard machinery entirely is pure savings.
-  bool should_fork(const geom::Region<D>& U) const {
-    if (cfg_.parallel_grain <= 0 || U.width() <= cfg_.parallel_grain)
-      return false;
-    engine::TaskScheduler* s = engine::TaskScheduler::current();
-    return s != nullptr && s->parallel();
-  }
-
-  /// Execute the children of one recursion node, forking runs of
-  /// consecutive equal-uppers children (antichains; see
-  /// geom::RegionChildren::for_each_equal_uppers_run). Each fork
-  /// gets a StagingShard over cx's store and a private ChargeLog; the
-  /// join then merges in canonical child order, reproducing the serial
-  /// store state and charge sequence bit for bit.
-  template <class Store, class Ledger, class RuleFn>
-  void exec_children_forked(
-      const geom::Region<D>& U,
-      const typename geom::Region<D>::Children& children, core::Cost fS,
-      Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
-    using Shard = StagingShard<D, V>;
-    struct Forked {
-      core::ChargeLog log;
-      ExecDelta delta;
-      std::optional<Shard> shard;
-    };
-    children.for_each_equal_uppers_run(U, [&](std::size_t i, std::size_t j) {
-      if (j - i == 1) {
-        // Singleton run: possibly a predecessor of later children —
-        // execute in place so they see its out-set in cx's store.
-        exec_child(U, children[i], fS, cx, rule);
-      } else {
-        std::vector<Forked> forks(j - i);
-        for (Forked& fk : forks) fk.shard.emplace(overlay, *cx.staging);
-        const int child_depth = cx.depth;
-        engine::TaskScope scope(engine::ForkPhase::kExecutorLeaf);
-        for (std::size_t k = i; k < j; ++k) {
-          Forked& fk = forks[k - i];
-          const geom::Region<D>& child = children[k];
-          scope.fork([this, &fk, &U, &child, fS, child_depth, &rule] {
-            Ctx<Shard, core::ChargeLog> sub;
-            sub.staging = &*fk.shard;
-            sub.ledger = &fk.log;
-            sub.depth = child_depth;
-            exec_child(U, child, fS, sub, rule);
-            fk.delta =
-                ExecDelta{sub.vertices, sub.cur, sub.peak, sub.row_leaves};
-          });
-        }
-        scope.join();
-        engine::trace::Span merge_span(engine::trace::Cat::kTask,
-                                       "shard-merge",
-                                       static_cast<std::int64_t>(j - i));
-        for (Forked& fk : forks) {
-          fk.log.replay_into(*cx.ledger);
-          fk.shard->merge_into(*cx.staging);
-          if (cx.cur + fk.delta.peak > cx.peak)
-            cx.peak = cx.cur + fk.delta.peak;
-          cx.cur += fk.delta.net;
-          cx.vertices += fk.delta.vertices;
-          cx.row_leaves += fk.delta.row_leaves;
-        }
-      }
-    });
-  }
-
-  template <class Store>
-  void validate_preboundary(const geom::Region<D>& child,
-                            const Store& staging, std::int64_t width,
+  void validate_preboundary(const geom::Region<D>& child, std::int64_t width,
                             std::int64_t count) const {
     std::vector<geom::Point<D>> gin = child.preboundary();
     check_count(gin, count, "preboundary_count != |preboundary()|");
     for (const auto& q : gin) {
-      BSMP_ASSERT_MSG(staging.find(q) != nullptr,
+      BSMP_ASSERT_MSG(staging_->find(q) != nullptr,
                       "preboundary value missing: topological partition "
                       "violated at width "
                           << width);
     }
   }
 
-  template <class Store>
-  void validate_outset(const geom::Region<D>& U, const Store& staging) const {
+  void validate_outset(const geom::Region<D>& U) const {
     std::vector<geom::Point<D>> out = U.outset();
     for (const auto& q : out) {
       BSMP_ASSERT_MSG(U.in_outset(q), "in_outset rejects an outset() point");
-      BSMP_ASSERT_MSG(staging.find(q) != nullptr,
+      BSMP_ASSERT_MSG(staging_->find(q) != nullptr,
                       "out-set value missing");
     }
   }
@@ -558,14 +361,14 @@ class Executor {
   /// cells of work.
   static constexpr std::int64_t kMinSpan = 2;
 
-  template <class Store, class Ledger, class RuleFn>
+  template <class RuleFn>
   void execute_leaf(const geom::Region<D>& U, Probe& probe,
-                    Ctx<Store, Ledger>& cx, const RuleFn& rule) const {
+                    const RuleFn& rule) {
     const core::Cost f_leaf =
-        cx.leaf_f.get(cx.depth, U.width(), [this](std::int64_t w) {
+        leaf_f_.get(depth_, U.width(), [this](std::int64_t w) {
           return cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(w)));
         });
-    LeafWindow<D, V> win(U, cx.vals, cx.off);
+    LeafWindow<D, V> win(U, leaf_vals_, leaf_off_);
     const std::int64_t tmin = win.tmin();
 
     // Forced inline: otherwise GCC's per-unit growth budget decides,
@@ -576,24 +379,24 @@ class Executor {
       // q is a vertex; inside the leaf box it was already executed
       // (topological order), so its value sits in the dense window.
       if (q.t >= tmin && U.in_box(q)) return win[win.slot(q)];
-      const V* v = cx.staging->find(q);
+      const V* v = staging_->find(q);
       BSMP_ASSERT_MSG(v != nullptr,
                       "operand missing at leaf: topological partition or "
                       "out-set computation is wrong");
       return *v;
     };
 
-    auto la = cx.ledger->stream(core::CostKind::kLocalAccess);
+    auto la = ledger_->stream(core::CostKind::kLocalAccess);
     std::uint64_t la_events = 0;
     std::int64_t executed = 0;
 
     bool vectored = false;
     if constexpr (simd::has_row_kernel<RuleFn, D, V> && (D == 1 || D == 2)) {
       if (U.width() >= kMinRowLeaf && simd::enabled()) {
-        execute_leaf_rows(U, win, cx, rule, f_leaf, la, la_events, executed,
+        execute_leaf_rows(U, win, rule, f_leaf, la, la_events, executed,
                           lookup);
         vectored = true;
-        ++cx.row_leaves;
+        ++row_leaves_;
       }
     }
     if (!vectored) {
@@ -613,34 +416,33 @@ class Executor {
     la.add_events(la_events);
     // Unit compute per vertex: integer-valued, so one batched charge is
     // bit-identical to `executed` unit charges.
-    cx.ledger->charge(core::CostKind::kCompute,
-                      static_cast<core::Cost>(executed),
-                      static_cast<std::uint64_t>(executed));
-    cx.vertices += executed;
+    ledger_->charge(core::CostKind::kCompute,
+                    static_cast<core::Cost>(executed),
+                    static_cast<std::uint64_t>(executed));
+    vertices_ += executed;
 
-    cx.leaf_out = stage_outset(U, probe, cx, win);
+    leaf_out_ = stage_outset(U, probe, win);
   }
 
   /// Stage the leaf's out-set from its dense window, one memo-served
   /// run at a time; returns the words staged. Out of line, so the
   /// served walk's replay and dispatch stay out of the function GCC
   /// compiles around the scalar leaf loop.
-  template <class Store, class Ledger>
   [[gnu::noinline]] std::int64_t stage_outset(const geom::Region<D>& U,
                                               Probe& probe,
-                                              Ctx<Store, Ledger>& cx,
-                                              LeafWindow<D, V>& win) const {
+                                              LeafWindow<D, V>& win) {
     std::int64_t nout = 0;
     U.outset_runs(probe, [&](const geom::Point<D>& q, std::int64_t hi) {
       const std::int64_t len = hi - q.x[D - 1] + 1;
-      cx.insert_span(q, &win[win.slot(q)], static_cast<std::size_t>(len));
+      staging_->insert_span(q, &win[win.slot(q)],
+                            static_cast<std::size_t>(len));
       nout += len;
     });
     if (cfg_.validate) {
       validate_runs<D>([&](auto&& f) { U.outset_runs(f); },
                        [&](auto&& f) { U.outset_spans(f); },
                        "outset_runs != outset_spans");
-      validate_outset(U, *cx.staging);
+      validate_outset(U);
     }
     return nout;
   }
@@ -654,13 +456,11 @@ class Executor {
   /// the whole span. Charges are emitted per cell, in exactly the
   /// scalar loop's visit order and amounts: interior cells always have
   /// 2D+1 operands, so the kLocalAccess stream is bit-identical.
-  template <class Store, class Ledger, class RuleFn, class Stream,
-            class Lookup>
+  template <class RuleFn, class Stream, class Lookup>
   void execute_leaf_rows(const geom::Region<D>& U, LeafWindow<D, V>& win,
-                         Ctx<Store, Ledger>& cx, const RuleFn& rule,
-                         core::Cost f_leaf, Stream& la,
+                         const RuleFn& rule, core::Cost f_leaf, Stream& la,
                          std::uint64_t& la_events, std::int64_t& executed,
-                         const Lookup& lookup) const {
+                         const Lookup& lookup) {
     const geom::Stencil<D>& st = guest_->stencil;
     const std::int64_t tmin = win.tmin();
     // One edge cell, evaluated and charged as the scalar loop does.
@@ -686,21 +486,21 @@ class Executor {
       if (t >= st.m) {
         if (t - st.m < win.tmin()) {
           q.x[D - 1] = vlo;
-          if (const V* r = cx.staging->row_span(q, n)) return r;
+          if (const V* r = staging_->row_span(q, n)) return r;
         }
-        if (cx.self_row.size() < n) cx.self_row.resize(n);
+        if (leaf_self_.size() < n) leaf_self_.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
-          cx.self_row[i] = lookup(q);
+          leaf_self_[i] = lookup(q);
         }
       } else {
-        if (cx.self_row.size() < n) cx.self_row.resize(n);
+        if (leaf_self_.size() < n) leaf_self_.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
-          cx.self_row[i] = guest_->input(q.x, t % st.m);
+          leaf_self_[i] = guest_->input(q.x, t % st.m);
         }
       }
-      return cx.self_row.data();
+      return leaf_self_.data();
     };
 
     for (std::int64_t t = tmin; t <= win.tmax(); ++t) {
@@ -820,8 +620,22 @@ class Executor {
   std::int64_t vertices_ = 0;
   std::int64_t row_leaves_ = 0;
   std::size_t peak_staging_ = 0;
-  // Leaf scratch, lent to the root context of each execute() call so a
-  // steady-state serial execution performs no per-leaf allocation.
+  // The store of the execute() call in progress (null between calls).
+  StagingStore<D, V>* staging_ = nullptr;
+  // Recursion depth below the execute() root; labels the sep-region
+  // trace spans and indexes the cost memos.
+  int depth_ = 0;
+  // Out-set size of the most recently executed leaf: the staging pass
+  // at the end of execute_leaf walks exactly the set outset_count()
+  // would re-derive, so exec_child reuses its tally for the step-3
+  // charge instead of a second boundary pass.
+  std::int64_t leaf_out_ = 0;
+  // f(S(w)) per recursion node and f_leaf per leaf, by depth and width.
+  CostMemo node_f_;
+  CostMemo leaf_f_;
+  // Leaf scratch (dense window values + per-level prefix offsets + the
+  // SIMD path's self-operand row), reused across leaves and calls, so
+  // a steady-state execution performs no per-leaf allocation.
   std::vector<V> leaf_vals_;
   std::vector<std::size_t> leaf_off_;
   std::vector<V> leaf_self_;

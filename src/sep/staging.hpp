@@ -15,11 +15,10 @@
 //   * level_allocs() counts level materializations for the hot-path
 //     metrics.
 //
-// StagingStore is the one staging store: sep::Executor, the
-// simulators, and StagingShard (the per-fork overlay below, which
-// answers the same calls) all stage through it. A point-keyed hash
-// map survives only as the hot table's measured baseline
-// (tables/hotpath.hpp) and as sched::run_schedule's record.
+// StagingStore is the one staging store: sep::Executor and the
+// simulators all stage through it. A point-keyed hash map survives
+// only as the hot table's measured baseline (tables/hotpath.hpp) and
+// as sched::run_schedule's record.
 //
 // The store is generic over the per-point value type V (Word by
 // default; LaneBatch for SoA-batched guests — see sep/guest.hpp).
@@ -167,17 +166,6 @@ class StagingStore {
     live_ -= static_cast<std::size_t>(removed);
     return removed;
   }
-
-  /// Ensure level t is materialized (counted by level_allocs), as
-  /// inserting into t would. Used when merging a StagingShard so the
-  /// level-allocation metric matches a serial execution that touched a
-  /// level only with values erased again before the merge.
-  void touch_level(std::int64_t t) {
-    if (t >= 0 && t < horizon()) level(t);
-  }
-
-  /// The stencil fixing this store's address layout.
-  const geom::Stencil<D>* stencil() const { return st_; }
 
   /// Number of live words: the quantity peak-staging accounting and
   /// the space-bound tests measure.
@@ -383,152 +371,8 @@ class LeafWindow {
   std::size_t total_ = 0;
 };
 
-// ---------------------------------------------------------------------
-// StagingShard: a private overlay a forked subtree of the executor
-// writes into while sibling subtrees run concurrently.
-//
-// Reads fall through: local shard -> enclosing shards (nested forks)
-// -> the base store, so a forked child sees everything staged before
-// its group started (its preboundary) without synchronization. Writes
-// and erasures are purely local — sound because a subtree only ever
-// erases values it produced itself (an inner node's erasure targets
-// its children's out-sets, all produced within the node; see
-// sep/executor.hpp). After join, merge_into() folds the shard into the
-// enclosing store *in canonical child order*, reproducing the serial
-// store state bit for bit.
-//
-// The shard also records which time levels it inserted into (even if
-// every value there was erased again) so merge_into can pre-touch the
-// matching levels of the base: StagingStore::level_allocs() then counts
-// exactly the levels a serial execution would have materialized.
-//
-// A shard answers the same find/row_span/insert/insert_span/erase/
-// erase_span/size calls as StagingStore, so the executor and the
-// multiproc simulator run one code path over either. A shard over a
-// shard is the same type, so template nesting over fork depth is
-// bounded.
-// ---------------------------------------------------------------------
-
-/// Tag selecting StagingShard's overlay constructors. Without it the
-/// overlay-on-parent form would have the signature of a copy
-/// constructor, and an accidental copy (auto s2 = s1; a reallocating
-/// vector of shards) would silently become an overlay whose parent_
-/// dangles once the copied-from shard dies. Shards are non-copyable;
-/// construct them as StagingShard(overlay, enclosing_store).
-struct overlay_t {
-  explicit overlay_t() = default;
-};
-inline constexpr overlay_t overlay{};
-
-template <int D, class V = Word>
-class StagingShard {
- public:
-  using value_type = V;
-
-  /// Overlay directly on the base store.
-  StagingShard(overlay_t, const StagingStore<D, V>& base)
-      : base_(&base), parent_(nullptr), local_(base.stencil()) {}
-
-  /// Overlay on another shard (a fork within a fork).
-  StagingShard(overlay_t, const StagingShard& parent)
-      : base_(parent.base_),
-        parent_(&parent),
-        local_(parent.base_->stencil()) {}
-
-  StagingShard(const StagingShard&) = delete;
-  StagingShard& operator=(const StagingShard&) = delete;
-
-  const V* find(const geom::Point<D>& q) const {
-    if (const V* v = local_.find(q)) return v;
-    for (const StagingShard* s = parent_; s != nullptr; s = s->parent_)
-      if (const V* v = s->local_.find(q)) return v;
-    return base_->find(q);
-  }
-
-  /// Never a dense row: a span may straddle the local, enclosing and
-  /// base layers, so the SIMD leaf stages it cell by cell.
-  const V* row_span(const geom::Point<D>&, std::size_t) const {
-    return nullptr;
-  }
-
-  bool insert(const geom::Point<D>& q, const V& v) {
-    touch_level(q.t);
-    return local_.insert(q, v);
-  }
-
-  std::int64_t insert_span(const geom::Point<D>& q, const V* src,
-                           std::size_t n) {
-    touch_level(q.t);
-    return local_.insert_span(q, src, n);
-  }
-
-  bool erase(const geom::Point<D>& q) { return local_.erase(q); }
-
-  std::int64_t erase_span(const geom::Point<D>& q, std::size_t n) {
-    return local_.erase_span(q, n);
-  }
-
-  /// Live values written locally (not the fall-through total): the
-  /// executor tracks staging peaks via relative deltas, not sizes.
-  std::size_t size() const { return local_.size(); }
-
-  /// Record that level t was written, so merge_into pre-touches it.
-  void touch_level(std::int64_t t) {
-    auto it = std::lower_bound(touched_.begin(), touched_.end(), t);
-    if (it == touched_.end() || *it != t) touched_.insert(it, t);
-  }
-
-  /// Fold this shard into the enclosing store (the base store, or the
-  /// enclosing shard for nested forks): pre-touch every level the
-  /// shard ever wrote, then insert the surviving values.
-  template <class Dst>
-  void merge_into(Dst& dst) const {
-    for (std::int64_t t : touched_) dst.touch_level(t);
-    local_.for_each(
-        [&dst](const geom::Point<D>& p, const V& v) { dst.insert(p, v); });
-  }
-
- private:
-  const StagingStore<D, V>* base_;
-  const StagingShard* parent_;
-  StagingStore<D, V> local_;
-  std::vector<std::int64_t> touched_;  // sorted distinct inserted levels
-};
-
-// ---------------------------------------------------------------------
-// Fork grains: process-wide defaults, read at first use from the env
-// knob named with each (core/env.hpp; unset means 0 = never fork) and
-// settable per run or per config. Forked execution is bit-identical to
-// serial execution by construction, so no grain changes an emitted
-// byte — only wall clock and task metrics.
-//   * parallel grain (BSMP_PARALLEL_GRAIN): the monotone width above
-//     which a standalone executor forks sibling child regions
-//     (ExecutorConfig::parallel_grain);
-//   * reloc grain (BSMP_RELOC_GRAIN): the region width above which
-//     regime-1 relocation forks equal-uppers child runs
-//     (sim::MultiprocConfig::reloc_grain);
-//   * wave grain (BSMP_WAVE_GRAIN): the number of machine tiles at
-//     which a top-level wave forks (sim::MultiprocConfig::wave_grain;
-//     values below 2 behave as 2).
-// ---------------------------------------------------------------------
-
-/// Process-wide default for ExecutorConfig::parallel_grain.
-std::int64_t default_parallel_grain();
-
-/// Override the process-wide default (tests; benches).
+/// Does nothing; the benchmark harness still calls it (ROADMAP item 1).
 void set_default_parallel_grain(std::int64_t grain);
-
-/// Process-wide default for sim::MultiprocConfig::reloc_grain.
-std::int64_t default_reloc_grain();
-
-/// Override the process-wide default (tests; benches).
-void set_default_reloc_grain(std::int64_t grain);
-
-/// Process-wide default for sim::MultiprocConfig::wave_grain.
-std::int64_t default_wave_grain();
-
-/// Override the process-wide default (tests; benches).
-void set_default_wave_grain(std::int64_t grain);
 
 // ---------------------------------------------------------------------
 // Validation mode: when on, the executor re-materializes the

@@ -20,27 +20,12 @@
 //    link, and the subtile body runs through the separator executor
 //    (recursing to Theorem-3 executable diamonds of width m).
 //
-// Parallel execution (doc/ENGINE.md "Task layer"): two coarse
-// antichains fork into the ambient engine::TaskScheduler — top-level
-// machine-tile wavefronts with at least MultiprocConfig::wave_grain
-// tiles, and equal-uppers runs of regime-1 bisection children when the
-// node is wider than MultiprocConfig::reloc_grain. Regime-2 waves and
-// subtile bodies run in order inside whichever fork encloses them
-// (forking them too cost more in task bookkeeping than it returned;
-// doc/ENGINE.md "Fork points"). Each fork runs against a private
-// StagingShard and records its side effects — relocation charges,
-// subtile charge logs, barriers — in a PhaseLog instead of touching
-// the shared ledgers, clocks, planner, or op stream. The join replays
-// the logs in canonical (fork) order on the calling thread,
-// reproducing the serial floating-point charge sequence, clock
-// trajectory, staging trajectory and emitted op stream bit for bit at
-// any thread count.
-//
-// Op emission is part of that replay — the planner and the emitter
-// only ever run on the joining thread, after the forks completed, in
-// exactly the serial order — so the emitted stream is byte-identical
-// whether a phase forked or not, and the grain knobs are the only
-// forking gates.
+// The p processors are simulated, not run: their work is charged to
+// per-processor ledgers and clocks, and run() executes every phase on
+// the calling thread in the order above, so the charge sequence, the
+// clock trajectory and the emitted op stream are a function of the
+// inputs alone. Host threads parallelize across simulator calls (sweep
+// points on engine::Pool; doc/ENGINE.md "Task layer").
 #pragma once
 
 #include <algorithm>
@@ -50,7 +35,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/expect.hpp"
@@ -73,16 +57,9 @@ struct MultiprocConfig {
   std::int64_t leaf_width = 0;  ///< 0: min(m, s)
   double space_const = 6.0;
   bool charge_rearrangement = true;
-  /// Region width above which regime-1 bisection forks its equal-uppers
-  /// child runs into the ambient scheduler; 0 disables. Execution is
-  /// bit-identical either way. Defaults from sep::default_reloc_grain()
-  /// (BSMP_RELOC_GRAIN).
-  std::int64_t reloc_grain = sep::default_reloc_grain();
-  /// Minimum number of machine tiles in a top-level wavefront at which
-  /// the wave forks; 0 disables, values below 2 behave as 2. Regime-2
-  /// subtile waves never fork. Bit-identical either way. Defaults from
-  /// sep::default_wave_grain() (BSMP_WAVE_GRAIN).
-  std::int64_t wave_grain = sep::default_wave_grain();
+  /// Read by nothing; the benchmark harness still sets them (ROADMAP item 1).
+  std::int64_t reloc_grain = 0;
+  std::int64_t wave_grain = 0;
   /// Opt-in hot-path observability (see DcConfig::metrics).
   engine::Metrics* metrics = nullptr;
   std::string hot_label;
@@ -162,16 +139,13 @@ class MultiprocSimulator {
     exec_cfg_.leaf_width = leaf_w_;
     exec_cfg_.f = host_.access_fn();
     exec_cfg_.space_const = cfg_.space_const;
-    // Subtile bodies run serially; the machine-tile and relocation
-    // forks above them carry the parallelism.
-    exec_cfg_.parallel_grain = 0;
     exec_.emplace(guest_, exec_cfg_);
     ledgers_.resize(static_cast<std::size_t>(host_.p));
 
     // Working-set address scale of a subtile's resident data inside its
     // processor's memory after Regime 1 brought the macro domain near;
     // run-wide constants (they depend on macro_w_, not the macro at
-    // hand), hoisted so forked subtile bodies share them.
+    // hand), hoisted out of the per-subtile charge.
     s_rest_ = cfg_.space_const *
                   static_cast<double>(std::min(st.reach(), macro_w_)) *
                   std::pow(static_cast<double>(cfg_.s), D) +
@@ -189,9 +163,6 @@ class MultiprocSimulator {
   /// When set, the simulator additionally emits its exact op stream as
   /// a ParallelSchedule (must be constructed with p == host.p); its
   /// makespan_under(host access fn) reproduces run()'s virtual time.
-  /// Emission happens on the canonical-order replay path, so it is
-  /// byte-identical whether phases fork or run serially (header
-  /// comment).
   void set_emit(sched::ParallelSchedule<D>* emit) {
     if (emit != nullptr)
       BSMP_REQUIRE_MSG(emit->num_procs() == host_.p,
@@ -226,18 +197,13 @@ class MultiprocSimulator {
     const double rdist = relocation_distance(node_side_);
     const auto hot_t0 = std::chrono::steady_clock::now();
     for (std::size_t k = 0; k < waves.size(); ++k) {
-      if (wave_parallel(waves[k].size())) {
-        exec_tilewave_forked(waves[k], k, rdist);
-      } else {
-        PhaseCtx<Store> cx{&staging_, nullptr};
-        for (const auto& tile : waves[k]) {
-          engine::trace::Span tile_span(engine::trace::Cat::kSim,
-                                        "machine-tile", tile.width(),
-                                        static_cast<std::int64_t>(k));
-          Probe probe = tile.probe();
-          charge_relocation_ctx(cx, preboundary_words(tile, probe), rdist);
-          relocate_rec(tile, probe, cx);
-        }
+      for (const auto& tile : waves[k]) {
+        engine::trace::Span tile_span(engine::trace::Cat::kSim,
+                                      "machine-tile", tile.width(),
+                                      static_cast<std::int64_t>(k));
+        Probe probe = tile.probe();
+        charge_relocation(preboundary_words(tile, probe), rdist);
+        relocate_rec(tile, probe);
       }
       detail::prune_staging<D>(st, staging_, suffix_tmin[k + 1]);
     }
@@ -264,61 +230,7 @@ class MultiprocSimulator {
   }
 
  private:
-  using Delta = typename sep::Executor<D, V>::ExecDelta;
-  /// The root staging store, and the overlay every fork writes into
-  /// (a fork within a fork overlays the enclosing shard).
-  using Store = sep::StagingStore<D, V>;
-  using Shard = sep::StagingShard<D, V>;
   using Probe = typename geom::Region<D>::Probe;
-
-  // -------------------------------------------------------------------
-  // Phase logs: the recorded side effects of one forked subtree. A
-  // fork writes staged values into its private shard and pushes one
-  // step per serial side effect; the join replays the steps in
-  // canonical order against the shared ledgers / clocks / planner /
-  // emitter, reproducing the serial execution exactly.
-  // -------------------------------------------------------------------
-
-  /// One charge_relocation() call (regime-1 preboundary/out-set move).
-  struct RelocStep {
-    std::size_t words = 0;
-    double dist = 0.0;
-  };
-
-  /// One regime-2 subtile: its identity and home processor, the
-  /// preboundary split, the pre/body charge logs and the executor
-  /// delta. The body cost is *not* precomputed: the serial path reads
-  /// it off the live ledger (total() - before), so the replay must
-  /// recompute it against the ledger state at replay time.
-  struct SubtileStep {
-    std::optional<geom::Region<D>> sub;  // optional: Region has no default ctor
-    std::int64_t pr = 0;
-    std::size_t resident = 0, cross = 0;
-    core::ChargeLog pre, body;
-    Delta delta{};
-  };
-
-  /// One end-of-wave clock barrier (plus its emitted op).
-  struct BarrierStep {};
-
-  using PhaseStep = std::variant<RelocStep, SubtileStep, BarrierStep>;
-  using PhaseLog = std::vector<PhaseStep>;
-
-  /// Where a (possibly forked) subtree reads and writes: its staging
-  /// view, and — when forked — the log that defers its charges. A null
-  /// log means direct mode: charges go straight to the shared ledgers
-  /// and clocks, exactly the pre-fork serial path.
-  template <class S>
-  struct PhaseCtx {
-    S* store = nullptr;
-    PhaseLog* log = nullptr;
-  };
-
-  /// One forked subtree: its recorded steps and its private overlay.
-  struct Fork {
-    PhaseLog log;
-    std::optional<Shard> shard;
-  };
 
   double relocation_distance(std::int64_t width) const {
     // After the pi2*pi1 rearrangement, transfers for a width-w domain
@@ -344,17 +256,6 @@ class MultiprocSimulator {
     }
   }
 
-  template <class S>
-  void charge_relocation_ctx(PhaseCtx<S>& cx, std::size_t words,
-                             double dist) {
-    if (words == 0) return;
-    if (cx.log != nullptr) {
-      cx.log->push_back(RelocStep{words, dist});
-      return;
-    }
-    charge_relocation(words, dist);
-  }
-
   /// End-of-wave synchronization: all processor clocks meet.
   void wave_barrier() {
     clocks_.barrier();
@@ -365,122 +266,30 @@ class MultiprocSimulator {
     }
   }
 
-  bool sched_parallel() const {
-    engine::TaskScheduler* s = engine::TaskScheduler::current();
-    return s != nullptr && s->parallel();
-  }
-
-  /// Fork a top-level machine-tile wave when it has enough tiles and
-  /// forks can actually run concurrently.
-  bool wave_parallel(std::size_t units) const {
-    if (cfg_.wave_grain <= 0) return false;
-    if (static_cast<std::int64_t>(units) <
-        std::max<std::int64_t>(2, cfg_.wave_grain))
-      return false;
-    return sched_parallel();
-  }
-
-  /// Fork a regime-1 node's equal-uppers child runs when the node is
-  /// above the relocation grain.
-  bool reloc_parallel(const geom::Region<D>& r) const {
-    return cfg_.reloc_grain > 0 && r.width() > cfg_.reloc_grain &&
-           sched_parallel();
-  }
-
-  // -------------------------------------------------------------------
-  // Replay: apply a fork's recorded steps to the shared state, in
-  // canonical order, on the joining thread. `base` is staging_'s size
-  // when the forked group's serial-equivalent execution would have
-  // started; `cum` accumulates the executor net deltas of the replayed
-  // subtiles so absorb() sees the exact serial staging trajectory.
-  // -------------------------------------------------------------------
-
-  void merge_subtile_step(SubtileStep& sb, std::size_t base,
-                          std::int64_t& cum) {
-    core::CostLedger& lg = ledgers_[static_cast<std::size_t>(sb.pr)];
-    sb.pre.replay_into(lg);
-    // The serial path's exact cost expression, with the executor's
-    // contribution recovered through the same total()-before read.
-    core::Cost cost = 0;
-    cost += 2.0 * f_rest_ * static_cast<core::Cost>(sb.resident);
-    if (sb.cross > 0) cost += link_ * static_cast<core::Cost>(sb.cross);
-    core::Cost before = lg.total();
-    sb.body.replay_into(lg);
-    cost += lg.total() - before;
-    clocks_.advance(sb.pr, cost);
-    exec_->absorb(sb.delta, base + static_cast<std::size_t>(cum));
-    cum += sb.delta.net;
-    emit_subtile_ops(*sb.sub, sb.pr, sb.resident, sb.cross);
-  }
-
-  void replay_phase_log(PhaseLog& log, std::size_t base, std::int64_t& cum) {
-    for (PhaseStep& step : log) {
-      if (auto* rs = std::get_if<RelocStep>(&step)) {
-        charge_relocation(rs->words, rs->dist);
-      } else if (auto* sb = std::get_if<SubtileStep>(&step)) {
-        merge_subtile_step(*sb, base, cum);
-      } else {
-        wave_barrier();
-      }
-    }
-  }
-
-  /// Join a group of forked subtrees. Nested in another fork: splice
-  /// the logs (the enclosing join replays them) and fold the shards
-  /// into the enclosing shard. At the root: replay each log against
-  /// the shared state and fold the shards into staging_ — always in
-  /// canonical fork order.
-  template <class S>
-  void join_forked_group(std::vector<Fork>& forks, PhaseCtx<S>& cx) {
-    engine::trace::Span merge_span(engine::trace::Cat::kTask, "shard-merge",
-                                   static_cast<std::int64_t>(forks.size()));
-    if (cx.log != nullptr) {
-      for (Fork& fk : forks) {
-        for (PhaseStep& step : fk.log)
-          cx.log->push_back(std::move(step));
-        fk.shard->merge_into(*cx.store);
-      }
-      return;
-    }
-    const std::size_t base = staging_.size();
-    std::int64_t cum = 0;
-    for (Fork& fk : forks) {
-      replay_phase_log(fk.log, base, cum);
-      fk.shard->merge_into(staging_);
-    }
-  }
-
   // -------------------------------------------------------------------
   // Regime 1
   // -------------------------------------------------------------------
 
   /// Regime 1: bisect down to macro width, charging relocations.
   /// `probe` is r.probe(), shared with the caller's counts.
-  template <class S>
-  void relocate_rec(const geom::Region<D>& r, Probe& probe,
-                    PhaseCtx<S>& cx) {
+  void relocate_rec(const geom::Region<D>& r, Probe& probe) {
     if (r.width() <= macro_w_) {
-      regime2(r, cx);
+      regime2(r);
       return;
     }
     engine::trace::Span span(engine::trace::Cat::kSim, "regime1-relocate",
                              r.width());
     typename geom::Region<D>::Children children;
     r.split_into(children, probe);
-    if (reloc_parallel(r)) {
-      relocate_children_forked(r, children, cx);
-    } else {
-      for (const geom::Region<D>& child : children) relocate_child(child, cx);
-    }
+    for (const geom::Region<D>& child : children) relocate_child(child);
   }
 
-  template <class S>
-  void relocate_child(const geom::Region<D>& child, PhaseCtx<S>& cx) {
+  void relocate_child(const geom::Region<D>& child) {
     double dist = relocation_distance(child.width());
     Probe probe = child.probe();
-    charge_relocation_ctx(cx, preboundary_words(child, probe), dist);
-    relocate_rec(child, probe, cx);
-    charge_relocation_ctx(cx, outset_words(child, probe), dist);
+    charge_relocation(preboundary_words(child, probe), dist);
+    relocate_rec(child, probe);
+    charge_relocation(outset_words(child, probe), dist);
   }
 
   /// Regime-1 boundary word counts, from the memo through r's probe;
@@ -495,61 +304,6 @@ class MultiprocSimulator {
     const std::int64_t n = r.outset_count(probe);
     if (exec_cfg_.validate) sep::validate_outset_count(r, n);
     return static_cast<std::size_t>(n);
-  }
-
-  /// Fork runs of consecutive equal-uppers children of one regime-1
-  /// node (antichains; geom::RegionChildren::for_each_equal_uppers_run).
-  /// Singleton runs execute in place so later runs see their out-sets.
-  template <class S>
-  void relocate_children_forked(
-      const geom::Region<D>& r,
-      const typename geom::Region<D>::Children& children, PhaseCtx<S>& cx) {
-    children.for_each_equal_uppers_run(r, [&](std::size_t i, std::size_t j) {
-      if (j - i == 1) {
-        relocate_child(children[i], cx);
-      } else {
-        std::vector<Fork> forks(j - i);
-        for (Fork& fk : forks) fk.shard.emplace(sep::overlay, *cx.store);
-        engine::TaskScope scope(engine::ForkPhase::kRegime1Relocate);
-        for (std::size_t k = i; k < j; ++k) {
-          Fork& fk = forks[k - i];
-          const geom::Region<D>& child = children[k];
-          scope.fork([this, &fk, &child] {
-            PhaseCtx<Shard> sub{&*fk.shard, &fk.log};
-            relocate_child(child, sub);
-          });
-        }
-        scope.join();
-        join_forked_group(forks, cx);
-      }
-    });
-  }
-
-  /// Fork one top-level machine-tile wavefront (tiles of one
-  /// anti-diagonal are mutually independent); each tile records its
-  /// whole regime-1 subtree in a PhaseLog over a private shard.
-  template <class TileWave>
-  void exec_tilewave_forked(const TileWave& wave, std::size_t k,
-                            double rdist) {
-    std::vector<Fork> forks(wave.size());
-    for (Fork& fk : forks) fk.shard.emplace(sep::overlay, staging_);
-    engine::TaskScope scope(engine::ForkPhase::kMachineTile);
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Fork& fk = forks[i];
-      const auto& tile = wave[i];
-      scope.fork([this, &fk, &tile, k, rdist] {
-        engine::trace::Span tile_span(engine::trace::Cat::kSim,
-                                      "machine-tile", tile.width(),
-                                      static_cast<std::int64_t>(k));
-        PhaseCtx<Shard> cx{&*fk.shard, &fk.log};
-        Probe probe = tile.probe();
-        charge_relocation_ctx(cx, preboundary_words(tile, probe), rdist);
-        relocate_rec(tile, probe, cx);
-      });
-    }
-    scope.join();
-    PhaseCtx<Store> root{&staging_, nullptr};
-    join_forked_group(forks, root);
   }
 
   // -------------------------------------------------------------------
@@ -581,8 +335,7 @@ class MultiprocSimulator {
   }
 
   /// Regime 2: execute a macro domain via width-s subtile wavefronts.
-  template <class S>
-  void regime2(const geom::Region<D>& macro, PhaseCtx<S>& cx) {
+  void regime2(const geom::Region<D>& macro) {
     engine::trace::Span macro_span(engine::trace::Cat::kSim, "regime2-macro",
                                    macro.width());
     constexpr int K = geom::kMono<D>;
@@ -623,53 +376,12 @@ class MultiprocSimulator {
       engine::trace::Span wave_span(engine::trace::Cat::kSim, "regime2-wave",
                                     static_cast<std::int64_t>(wave.size()),
                                     static_cast<std::int64_t>(wi));
-      if (cx.log != nullptr) {
-        // Within an enclosing fork: execute against the fork's shard,
-        // recording each subtile as a step for the join replay.
-        for (const geom::Region<D>& sub : wave) {
-          cx.log->push_back(SubtileStep{});
-          make_subtile_step(sub, *cx.store,
-                            std::get<SubtileStep>(cx.log->back()));
-        }
-      } else {
-        for (const geom::Region<D>& sub : wave) exec_subtile(sub);
-      }
-      if (cx.log != nullptr)
-        cx.log->push_back(BarrierStep{});
-      else
-        wave_barrier();
+      for (const geom::Region<D>& sub : wave) exec_subtile(sub);
+      wave_barrier();
     }
   }
 
-  /// The logged subtile body: identify the home processor,
-  /// split the preboundary, record the pre charges and run the body
-  /// through the executor against `store` — no shared state touched.
-  template <class S>
-  void make_subtile_step(const geom::Region<D>& sub, S& store,
-                         SubtileStep& sb) {
-    sb.sub = sub;
-    auto fp = sub.first_point();
-    BSMP_ASSERT(fp.has_value());
-    auto home = strip_of(fp->x);
-    sb.pr = proc_of_strip(home);
-    // Span args match exec_subtile's so the deterministic span set is
-    // the same whether the enclosing tile forked or ran serially.
-    engine::trace::Span sub_span(engine::trace::Cat::kSim, "regime2-subtile",
-                                 sub.width(), sb.pr);
-    const StripSplit split = split_preboundary(sub, home);
-    sb.resident = split.resident;
-    sb.cross = split.cross;
-    sb.pre.charge(core::CostKind::kBlockMove,
-                  2.0 * f_rest_ * static_cast<core::Cost>(sb.resident),
-                  sb.resident);
-    if (sb.cross > 0)
-      sb.pre.charge(core::CostKind::kComm,
-                    link_ * static_cast<core::Cost>(sb.cross), sb.cross);
-    sb.delta = exec_->execute_delta(sub, store, sb.body);
-  }
-
-  /// One subtile of a Regime-2 wave, serially at the root (the
-  /// reference path: charges hit the shared ledgers directly).
+  /// One subtile of a Regime-2 wave, charged to its home processor.
   void exec_subtile(const geom::Region<D>& sub) {
     auto fp = sub.first_point();
     BSMP_ASSERT(fp.has_value());
@@ -703,10 +415,7 @@ class MultiprocSimulator {
     emit_subtile_ops(sub, pr, resident, cross);
   }
 
-  /// Emit one subtile's ops. Only ever called on the root thread — by
-  /// the serial path in wave order, or by the join replay in canonical
-  /// order — so the planner's shared caches see no concurrency and the
-  /// stream is byte-identical either way.
+  /// Emit one subtile's ops, in wave order.
   void emit_subtile_ops(const geom::Region<D>& sub, std::int64_t pr,
                         std::size_t resident, std::size_t cross) {
     if (emit_ == nullptr) return;
@@ -745,7 +454,7 @@ class MultiprocSimulator {
   std::optional<sep::Executor<D, V>> exec_;
   std::optional<sched::Planner<D>> planner_;
   sched::ParallelSchedule<D>* emit_ = nullptr;
-  Store staging_;
+  sep::StagingStore<D, V> staging_;
   std::int64_t proc_side_ = 1;
   std::int64_t node_side_ = 1;
   std::int64_t macro_w_ = 1;

@@ -6,14 +6,14 @@
 //   * differential: lane l of the batched final values is byte-
 //     identical to the corresponding independent scalar run, for every
 //     lane, in both batch forms (bit-sliced Word and SoA LaneBatch),
-//     across d in {1,2} x Pool {1,2,4} x fork grain {off, 4};
+//     across d in {1,2} x Pool {1,2,4};
 //   * charging: the batched run's per-kind charged cost bits, event
 //     counts, vertex totals, peak staging and slab allocations equal a
 //     scalar run of the same stencil exactly (charging is count-based
 //     and never reads lane contents);
 //   * isolation: perturbing one lane's initial condition leaves the
 //     other 63 lanes' final rows bit-identical — no cross-lane leakage
-//     through staging, pruning, shard merges, or ChargeLog replay.
+//     through staging or pruning.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -48,11 +48,10 @@ struct Outcome {
 template <int D, class V>
 Outcome<D, V> drive(const sep::BasicGuest<D, V>& g,
                     sep::StagingStore<D, V>& staging, int64_t tile,
-                    int64_t leaf, int64_t grain) {
+                    int64_t leaf) {
   sep::ExecutorConfig cfg;
   cfg.leaf_width = leaf;
   cfg.f = hram::AccessFn::hierarchical(D, 4.0);
-  cfg.parallel_grain = grain;
   sep::Executor<D, V> exec(&g, cfg);
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
@@ -159,7 +158,7 @@ sep::Guest<2> lane_mix_guest(const sep::BatchGuest<2>& batch, int lane,
 
 // ---------------------------------------------------------------------
 // Lane-differential: every lane == its scalar run, charges == scalar,
-// across Pool {1,2,4} x grain {off, 4}.
+// across Pool {1,2,4}.
 // ---------------------------------------------------------------------
 
 TEST(BatchLanes, D1BitSlicedLanesMatchScalarRunsAcrossStoresPoolsGrains) {
@@ -174,7 +173,7 @@ TEST(BatchLanes, D1BitSlicedLanesMatchScalarRunsAcrossStoresPoolsGrains) {
   for (int l = 0; l < sep::kLanes; ++l) {
     auto g = lane110_guest(packed, l);
     sep::StagingStore<1> staging(&g.stencil);
-    auto out = drive<1>(g, staging, tile, leaf, /*grain=*/0);
+    auto out = drive<1>(g, staging, tile, leaf);
     if (l == 0) scalar0 = out;
     expect_same_charges<1>(out, scalar0, "scalar lane " + std::to_string(l));
     EXPECT_TRUE(sim::same_values<1>(out.fin,
@@ -183,21 +182,17 @@ TEST(BatchLanes, D1BitSlicedLanesMatchScalarRunsAcrossStoresPoolsGrains) {
     lane_fin[static_cast<std::size_t>(l)] = std::move(out.fin);
   }
 
-  for (int64_t grain : {int64_t{0}, int64_t{4}}) {
-    for (int threads : {1, 2, 4}) {
-      engine::Pool pool(threads);
-      auto bind = pool.bind_caller();
-      const std::string what = "d1 grain=" + std::to_string(grain) +
-                               " threads=" + std::to_string(threads);
-      sep::StagingStore<1> staging(&packed.stencil);
-      auto batch = drive<1>(packed, staging, tile, leaf, grain);
-      expect_same_charges<1>(batch, scalar0, what);
-      for (int l = 0; l < sep::kLanes; ++l) {
-        EXPECT_TRUE(sim::same_values<1>(
-            sep::extract_bit_lane<1>(batch.fin, l),
-            lane_fin[static_cast<std::size_t>(l)]))
-            << what << ": lane " << l << " diverged from its scalar run";
-      }
+  for (int threads : {1, 2, 4}) {
+    engine::Pool pool(threads);
+    auto bind = pool.bind_caller();
+    const std::string what = "d1 threads=" + std::to_string(threads);
+    sep::StagingStore<1> staging(&packed.stencil);
+    auto batch = drive<1>(packed, staging, tile, leaf);
+    expect_same_charges<1>(batch, scalar0, what);
+    for (int l = 0; l < sep::kLanes; ++l) {
+      EXPECT_TRUE(sim::same_values<1>(sep::extract_bit_lane<1>(batch.fin, l),
+                                      lane_fin[static_cast<std::size_t>(l)]))
+          << what << ": lane " << l << " diverged from its scalar run";
     }
   }
 }
@@ -213,7 +208,7 @@ TEST(BatchLanes, D2SoALanesMatchScalarRunsAcrossStoresPoolsGrains) {
   for (int l = 0; l < sep::kLanes; ++l) {
     auto g = lane_mix_guest(batch_g, l, seed);
     sep::StagingStore<2> staging(&g.stencil);
-    auto out = drive<2>(g, staging, tile, leaf, /*grain=*/0);
+    auto out = drive<2>(g, staging, tile, leaf);
     if (l == 0) scalar0 = out;
     expect_same_charges<2>(out, scalar0, "scalar lane " + std::to_string(l));
     EXPECT_TRUE(sim::same_values<2>(out.fin,
@@ -222,21 +217,17 @@ TEST(BatchLanes, D2SoALanesMatchScalarRunsAcrossStoresPoolsGrains) {
     lane_fin[static_cast<std::size_t>(l)] = std::move(out.fin);
   }
 
-  for (int64_t grain : {int64_t{0}, int64_t{4}}) {
-    for (int threads : {1, 2, 4}) {
-      engine::Pool pool(threads);
-      auto bind = pool.bind_caller();
-      const std::string what = "d2 grain=" + std::to_string(grain) +
-                               " threads=" + std::to_string(threads);
-      sep::StagingStore<2, sep::LaneBatch> staging(&batch_g.stencil);
-      auto batch = drive<2>(batch_g, staging, tile, leaf, grain);
-      expect_same_charges<2>(batch, scalar0, what);
-      for (int l = 0; l < sep::kLanes; ++l) {
-        EXPECT_TRUE(sim::same_values<2>(
-            sep::extract_lane<2>(batch.fin, l),
-            lane_fin[static_cast<std::size_t>(l)]))
-            << what << ": lane " << l << " diverged from its scalar run";
-      }
+  for (int threads : {1, 2, 4}) {
+    engine::Pool pool(threads);
+    auto bind = pool.bind_caller();
+    const std::string what = "d2 threads=" + std::to_string(threads);
+    sep::StagingStore<2, sep::LaneBatch> staging(&batch_g.stencil);
+    auto batch = drive<2>(batch_g, staging, tile, leaf);
+    expect_same_charges<2>(batch, scalar0, what);
+    for (int l = 0; l < sep::kLanes; ++l) {
+      EXPECT_TRUE(sim::same_values<2>(sep::extract_lane<2>(batch.fin, l),
+                                      lane_fin[static_cast<std::size_t>(l)]))
+          << what << ": lane " << l << " diverged from its scalar run";
     }
   }
 }
@@ -251,9 +242,9 @@ TEST(BatchLanes, BroadcastGuestReproducesScalarRunInEveryLane) {
   auto b = sep::broadcast_guest<2>(g);
 
   sep::StagingStore<2> s_scalar(&g.stencil);
-  auto scalar = drive<2>(g, s_scalar, /*tile=*/4, /*leaf=*/2, /*grain=*/0);
+  auto scalar = drive<2>(g, s_scalar, /*tile=*/4, /*leaf=*/2);
   sep::StagingStore<2, sep::LaneBatch> s_batch(&b.stencil);
-  auto batch = drive<2>(b, s_batch, /*tile=*/4, /*leaf=*/2, /*grain=*/0);
+  auto batch = drive<2>(b, s_batch, /*tile=*/4, /*leaf=*/2);
 
   expect_same_charges<2>(batch, scalar, "broadcast");
   for (int l = 0; l < sep::kLanes; ++l)
@@ -272,8 +263,7 @@ TEST(BatchLanes, BroadcastGuestReproducesScalarRunInEveryLane) {
 
 // ---------------------------------------------------------------------
 // Lane isolation: flip one lane's initial condition — the other 63
-// lanes' final rows must be bit-identical to the unperturbed run, with
-// forking and shard merges active.
+// lanes' final rows must be bit-identical to the unperturbed run.
 // ---------------------------------------------------------------------
 
 TEST(BatchLanes, BitSlicedFaultInjectionStaysInItsLane) {
@@ -287,12 +277,10 @@ TEST(BatchLanes, BitSlicedFaultInjectionStaysInItsLane) {
     return w;
   };
 
-  engine::Pool pool(4);
-  auto bind = pool.bind_caller();
   sep::StagingStore<1> s_base(&base.stencil);
-  auto a = drive<1>(base, s_base, /*tile=*/32, /*leaf=*/2, /*grain=*/4);
+  auto a = drive<1>(base, s_base, /*tile=*/32, /*leaf=*/2);
   sep::StagingStore<1> s_hurt(&hurt.stencil);
-  auto b = drive<1>(hurt, s_hurt, /*tile=*/32, /*leaf=*/2, /*grain=*/4);
+  auto b = drive<1>(hurt, s_hurt, /*tile=*/32, /*leaf=*/2);
 
   expect_same_charges<1>(b, a, "fault injection");
   int diverged = 0;
@@ -322,12 +310,10 @@ TEST(BatchLanes, SoAFaultInjectionStaysInItsLane) {
     return v;
   };
 
-  engine::Pool pool(4);
-  auto bind = pool.bind_caller();
   sep::StagingStore<2, sep::LaneBatch> s_base(&base.stencil);
-  auto a = drive<2>(base, s_base, /*tile=*/5, /*leaf=*/2, /*grain=*/4);
+  auto a = drive<2>(base, s_base, /*tile=*/5, /*leaf=*/2);
   sep::StagingStore<2, sep::LaneBatch> s_hurt(&hurt.stencil);
-  auto b = drive<2>(hurt, s_hurt, /*tile=*/5, /*leaf=*/2, /*grain=*/4);
+  auto b = drive<2>(hurt, s_hurt, /*tile=*/5, /*leaf=*/2);
 
   expect_same_charges<2>(b, a, "SoA fault injection");
   for (int l = 0; l < sep::kLanes; ++l) {
@@ -360,13 +346,4 @@ TEST(BatchLanes, LaneBatchStagingStoreBasics) {
   EXPECT_FALSE(s.insert(p, v));
   EXPECT_TRUE(s.erase(p));
   EXPECT_EQ(s.size(), 0u);
-
-  // Shard overlay over a LaneBatch base.
-  sep::StagingShard<1, sep::LaneBatch> shard(sep::overlay, s);
-  EXPECT_TRUE(shard.insert(p, v));
-  ASSERT_NE(shard.find(p), nullptr);
-  EXPECT_EQ((*shard.find(p))[9], 1234u);
-  shard.merge_into(s);
-  ASSERT_NE(s.find(p), nullptr);
-  EXPECT_EQ((*s.find(p))[9], 1234u);
 }

@@ -19,22 +19,6 @@ using namespace bsmp;
 
 namespace {
 
-// The whole conformance suite runs with the fork-join recursion armed:
-// every executor constructed in this binary defaults to
-// parallel_grain = 8, so the threads=N passes below exercise the
-// nested path (forked child regions, staging shards, charge-log
-// replay) while the threads=1 passes stay the serial reference — the
-// byte-identity assertions are exactly the determinism contract of
-// the task layer. The golden digests must not move either way.
-class ParallelGrainEnvironment : public ::testing::Environment {
- public:
-  void SetUp() override { sep::set_default_parallel_grain(8); }
-  void TearDown() override { sep::set_default_parallel_grain(0); }
-};
-
-const auto* const kGrainEnv = ::testing::AddGlobalTestEnvironment(
-    new ParallelGrainEnvironment);
-
 int parallel_threads() { return std::max(4, engine::Pool::hardware_threads()); }
 
 std::vector<tables::Emitted> run_emitter(const tables::Emitter& e,
@@ -220,35 +204,6 @@ TEST(ValidationMode, AssertingPathEmitsIdenticalBytes) {
       EXPECT_EQ(fast[i].table.digest(), checked[i].table.digest())
           << name << " table " << i
           << " rendered bytes differ under validation mode";
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Parallel grain (BSMP_PARALLEL_GRAIN / sep::set_default_parallel_grain)
-// arms the executor's fork-join recursion. Like validation mode it
-// must be purely operational: grain off and grain on (under a
-// multi-thread pool, so forking really happens) emit byte-identical
-// tables.
-// ---------------------------------------------------------------------
-
-TEST(ParallelGrain, ForkedPathEmitsIdenticalBytes) {
-  const std::int64_t saved = sep::default_parallel_grain();
-  for (const char* name : {"e3", "hot", "ens"}) {
-    sep::set_default_parallel_grain(0);
-    auto serial = run_emitter(tables::find_emitter(name), parallel_threads(),
-                              nullptr);
-    sep::set_default_parallel_grain(8);
-    auto forked = run_emitter(tables::find_emitter(name), parallel_threads(),
-                              nullptr);
-    sep::set_default_parallel_grain(saved);
-    ASSERT_EQ(serial.size(), forked.size()) << name;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(serial[i].table == forked[i].table)
-          << name << " table " << i << " differs with parallel grain on";
-      EXPECT_EQ(serial[i].table.digest(), forked[i].table.digest())
-          << name << " table " << i
-          << " rendered bytes differ with parallel grain on";
     }
   }
 }

@@ -6,15 +6,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <string>
-#include <type_traits>
 
-#include "engine/metrics.hpp"
-#include "engine/pool.hpp"
-#include "engine/sweep.hpp"
 #include "geom/tiling.hpp"
-#include "sched/parallel.hpp"
 #include "sep/executor.hpp"
 #include "sim/dc_uniproc.hpp"
 #include "sim/multiproc.hpp"
@@ -23,15 +17,6 @@
 #include "workload/rules.hpp"
 
 using namespace bsmp;
-
-// Shards hold a pointer to their parent; a copy would silently become
-// an overlay on the copied-from object (dangling once it dies), so
-// copying must not compile — overlays are built with the sep::overlay
-// tag only.
-static_assert(!std::is_copy_constructible_v<sep::StagingShard<1>>,
-              "StagingShard must not be copyable");
-static_assert(!std::is_copy_assignable_v<sep::StagingShard<2>>,
-              "StagingShard must not be copy-assignable");
 
 namespace {
 
@@ -426,392 +411,6 @@ TEST(FailureInjection, CorruptedStagingValuePropagatesToOutputs) {
   auto fin = sim::extract_final<1>(g.stencil, staging);
   EXPECT_FALSE(sim::same_values<1>(fin, ref.final_values))
       << "a corrupted operand must corrupt the outputs";
-}
-
-// ---------------------------------------------------------------------
-// Parallel-grain bit-identity: the fork-join recursion must be
-// indistinguishable from the serial one — per-kind charged costs
-// (bitwise, doubles), event counts, vertex totals, peak staging, slab
-// allocations, and every final value identical across parallel_grain
-// ∈ {off, small, huge} × pool sizes {1, 2, 4}, for d=1 and d=2
-// volumes driven through the same wavefront loop the simulators use.
-// ---------------------------------------------------------------------
-
-namespace {
-
-template <int D>
-struct DriveOutcome {
-  std::array<std::uint64_t, core::CostLedger::kNumKinds> cost_bits{};
-  std::array<std::uint64_t, core::CostLedger::kNumKinds> events{};
-  std::int64_t vertices = 0;
-  std::size_t peak = 0;
-  std::size_t allocs = 0;
-  sim::FinalValues<D> fin;
-
-  void expect_eq(const DriveOutcome& other, const std::string& what) const {
-    for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
-      EXPECT_EQ(cost_bits[i], other.cost_bits[i])
-          << what << ": cost kind " << i << " not bit-identical";
-      EXPECT_EQ(events[i], other.events[i]) << what << ": events kind " << i;
-    }
-    EXPECT_EQ(vertices, other.vertices) << what;
-    EXPECT_EQ(peak, other.peak) << what << ": peak staging";
-    EXPECT_EQ(allocs, other.allocs) << what << ": slab allocs";
-    EXPECT_TRUE(sim::same_values<D>(fin, other.fin)) << what;
-  }
-};
-
-/// Run the guest through the wavefront driver with the given grain and
-/// return everything the determinism contract pins.
-template <int D>
-DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g,
-                                 sep::StagingStore<D>& staging, int64_t tile,
-                                 int64_t leaf, int64_t grain) {
-  sep::ExecutorConfig cfg;
-  cfg.leaf_width = leaf;
-  cfg.f = hram::AccessFn::hierarchical(D, 4.0);
-  cfg.parallel_grain = grain;
-  sep::Executor<D> exec(&g, cfg);
-  core::CostLedger ledger;
-  exec.set_ledger(&ledger);
-  geom::TileGrid<D> grid(&g.stencil, tile);
-  for (const auto& wave : grid.wavefronts())
-    for (const auto& t : wave) exec.execute(t, staging);
-
-  DriveOutcome<D> out;
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
-    auto kind = static_cast<core::CostKind>(i);
-    double c = ledger.cost(kind);
-    static_assert(sizeof c == sizeof out.cost_bits[i]);
-    std::memcpy(&out.cost_bits[i], &c, sizeof c);
-    out.events[i] = ledger.events(kind);
-  }
-  out.vertices = exec.vertices_executed();
-  out.peak = exec.peak_staging();
-  out.allocs = staging.level_allocs();
-  out.fin = sim::extract_final<D>(g.stencil, staging);
-  return out;
-}
-
-}  // namespace
-
-template <int D>
-void grain_pool_matrix(const sep::Guest<D>& g, int64_t tile, int64_t leaf) {
-  sep::StagingStore<D> ref_staging(&g.stencil);
-  auto ref = drive_with_grain<D>(g, ref_staging, tile, leaf, /*grain=*/0);
-  // The serial run itself against the independent oracles: the direct
-  // guest run for values, the volume for the vertex count.
-  EXPECT_TRUE(
-      sim::same_values<D>(ref.fin, sim::reference_run<D>(g).final_values));
-  EXPECT_EQ(ref.vertices, g.stencil.num_nodes() * g.stencil.horizon);
-
-  for (int64_t grain : {int64_t{2}, int64_t{1} << 30}) {
-    for (int threads : {1, 2, 4}) {
-      engine::Pool pool(threads);
-      auto bind = pool.bind_caller();
-      sep::StagingStore<D> staging(&g.stencil);
-      auto got = drive_with_grain<D>(g, staging, tile, leaf, grain);
-      ref.expect_eq(got, "d=" + std::to_string(D) + " grain=" +
-                             std::to_string(grain) +
-                             " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(ParallelGrainIdentity, D1VolumeBitIdenticalAcrossGrainAndPool) {
-  auto g = workload::make_mix_guest<1>({32}, 32, 2, 1234);
-  grain_pool_matrix<1>(g, /*tile=*/16, /*leaf=*/2);
-}
-
-TEST(ParallelGrainIdentity, D2VolumeBitIdenticalAcrossGrainAndPool) {
-  auto g = workload::make_mix_guest<2>({12, 12}, 12, 1, 4321);
-  grain_pool_matrix<2>(g, /*tile=*/6, /*leaf=*/2);
-}
-
-TEST(ParallelGrainIdentity, MultiprocWaveForkingBitIdentical) {
-  // The multiproc driver forks machine tiles and regime-1 relocation
-  // runs; totals, final values, virtual time, and utilization must not
-  // move.
-  auto g = workload::make_mix_guest<1>({32}, 32, 2, 9);
-  sim::MultiprocConfig cfg;
-  cfg.s = 4;
-  auto ref = sim::simulate_multiproc<1>(g, spec(1, 32, 4, 2), cfg);
-  const int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(2);
-  sim::MultiprocConfig fcfg = cfg;
-  fcfg.reloc_grain = 2;
-  fcfg.wave_grain = 2;
-  for (int threads : {1, 2, 4}) {
-    engine::Pool pool(threads);
-    auto bind = pool.bind_caller();
-    auto got = sim::simulate_multiproc<1>(g, spec(1, 32, 4, 2), fcfg);
-    EXPECT_EQ(got.time, ref.time) << "threads=" << threads;
-    EXPECT_EQ(got.utilization, ref.utilization) << "threads=" << threads;
-    EXPECT_EQ(got.vertices, ref.vertices) << "threads=" << threads;
-    EXPECT_EQ(got.ledger.total(), ref.ledger.total())
-        << "threads=" << threads;
-    EXPECT_TRUE(sim::same_values<1>(got.final_values, ref.final_values))
-        << "threads=" << threads;
-  }
-  sep::set_default_parallel_grain(saved);
-}
-
-// ---------------------------------------------------------------------
-// Multiproc forking identity: the forked regime-1 relocation levels and
-// forked machine-tile wavefronts (d=1 and d=2) must be bit-identical to
-// the serial run — per-kind charged costs (bitwise doubles), event
-// counts, virtual time, utilization, vertices, peak staging, slab
-// allocations, final values, and the emitted op stream — across
-// Pool {1,2,4} × grain {off, 2, huge}.
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct MpOutcome {
-  std::array<std::uint64_t, core::CostLedger::kNumKinds> cost_bits{};
-  std::array<std::uint64_t, core::CostLedger::kNumKinds> events{};
-  std::int64_t vertices = 0;
-  std::uint64_t time_bits = 0, util_bits = 0;
-  std::size_t peak = 0;
-  std::size_t allocs = 0;
-};
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t b;
-  static_assert(sizeof v == sizeof b);
-  std::memcpy(&b, &v, sizeof v);
-  return b;
-}
-
-struct MpGrains {
-  int64_t reloc, wave;
-};
-
-/// Run the multiproc simulator under one grains config and return
-/// everything the determinism contract pins.
-template <int D, class V>
-MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
-                        const machine::MachineSpec& host, int64_t s,
-                        MpGrains grains, sim::FinalValues<D, V>& fin_out) {
-  engine::Metrics metrics;
-  sim::MultiprocConfig cfg;
-  cfg.s = s;
-  cfg.reloc_grain = grains.reloc;
-  cfg.wave_grain = grains.wave;
-  cfg.metrics = &metrics;
-  auto res = sim::simulate_multiproc<D, V>(g, host, cfg);
-
-  MpOutcome out;
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
-    auto kind = static_cast<core::CostKind>(i);
-    out.cost_bits[i] = bits_of(res.ledger.cost(kind));
-    out.events[i] = res.ledger.events(kind);
-  }
-  out.vertices = res.vertices;
-  out.time_bits = bits_of(res.time);
-  out.util_bits = bits_of(res.utilization);
-  auto hot = metrics.hot_snapshot();
-  EXPECT_EQ(hot.size(), 1u);
-  if (!hot.empty()) {
-    out.peak = hot[0].peak_staging_words;
-    out.allocs = hot[0].staging_allocs;
-  }
-  fin_out = std::move(res.final_values);
-  return out;
-}
-
-void expect_mp_eq(const MpOutcome& a, const MpOutcome& b,
-                  const std::string& what) {
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
-    EXPECT_EQ(a.cost_bits[i], b.cost_bits[i])
-        << what << ": cost kind " << i << " not bit-identical";
-    EXPECT_EQ(a.events[i], b.events[i]) << what << ": events kind " << i;
-  }
-  EXPECT_EQ(a.vertices, b.vertices) << what;
-  EXPECT_EQ(a.time_bits, b.time_bits) << what << ": virtual time";
-  EXPECT_EQ(a.util_bits, b.util_bits) << what << ": utilization";
-  EXPECT_EQ(a.peak, b.peak) << what << ": peak staging";
-  EXPECT_EQ(a.allocs, b.allocs) << what << ": slab allocs";
-}
-
-/// The full matrix for one guest: the serial reference vs every
-/// (grain combo, pool size). Grain combos turn each mechanism on alone
-/// and all together, plus a huge grain that must behave exactly like
-/// off.
-template <int D, class V>
-void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
-                           const machine::MachineSpec& host, int64_t s) {
-  const MpGrains kOff{0, 0};
-  const int64_t huge = int64_t{1} << 30;
-  const MpGrains combos[] = {
-      {2, 0},        // regime-1 relocation forks alone
-      {0, 2},        // machine-tile wavefronts fork alone
-      {2, 2},        // both fork
-      {huge, huge},  // above every width: must equal off
-  };
-
-  sim::FinalValues<D, V> ref_fin;
-  auto ref = run_multiproc<D>(g, host, s, kOff, ref_fin);
-  // The serial run itself against the direct guest run.
-  EXPECT_TRUE(
-      sim::same_values<D>(ref_fin, sim::reference_run<D>(g).final_values));
-
-  for (const MpGrains& gr : combos) {
-    for (int threads : {1, 2, 4}) {
-      engine::Pool pool(threads);
-      auto bind = pool.bind_caller();
-      sim::FinalValues<D, V> fin;
-      auto got = run_multiproc<D>(g, host, s, gr, fin);
-      const std::string what =
-          "d=" + std::to_string(D) + " reloc=" + std::to_string(gr.reloc) +
-          " wave=" + std::to_string(gr.wave) +
-          " threads=" + std::to_string(threads);
-      expect_mp_eq(ref, got, what);
-      EXPECT_TRUE(sim::same_values<D>(ref_fin, fin)) << what;
-    }
-  }
-}
-
-}  // namespace
-
-TEST(ParallelGrainIdentity, MultiprocD1ForkMatrixBitIdentical) {
-  auto g = workload::make_mix_guest<1>({64}, 64, 2, 1234);
-  multiproc_fork_matrix<1>(g, spec(1, 64, 4, 2), /*s=*/4);
-}
-
-TEST(ParallelGrainIdentity, MultiprocD2ForkMatrixBitIdentical) {
-  auto g = workload::make_mix_guest<2>({8, 8}, 8, 1, 4321);
-  multiproc_fork_matrix<2>(g, machine::MachineSpec{2, 64, 4, 1}, /*s=*/2);
-}
-
-namespace {
-
-/// Every fork phase's spawned + inlined count after one multiproc run
-/// with reloc/wave grains 2 (and the executor grain 2) on a 4-slot pool.
-template <int D>
-std::array<std::uint64_t, engine::kNumForkPhases> multiproc_phase_forks(
-    const sep::Guest<D>& g, const machine::MachineSpec& host, int64_t s) {
-  const int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(2);
-  sim::MultiprocConfig cfg;
-  cfg.s = s;
-  cfg.reloc_grain = 2;
-  cfg.wave_grain = 2;
-  engine::Pool pool(4);
-  engine::TaskStats stats;
-  {
-    auto bind = pool.bind_caller();
-    pool.reset_task_stats();
-    sim::simulate_multiproc<D>(g, host, cfg);
-    stats = pool.task_stats();
-  }
-  sep::set_default_parallel_grain(saved);
-  std::array<std::uint64_t, engine::kNumForkPhases> out{};
-  for (std::size_t i = 0; i < engine::kNumForkPhases; ++i)
-    out[i] = stats.phase[i].spawned + stats.phase[i].inlined;
-  return out;
-}
-
-}  // namespace
-
-TEST(ParallelGrainIdentity, MultiprocForksOnlyMachineTilesAndRelocations) {
-  // The fork matrices above prove nothing unless the forks fire: on
-  // their configs, machine tiles and regime-1 relocation runs fork, and
-  // nothing else does — regime-2 waves and subtile bodies run in order
-  // even with the executor grain on.
-  auto check = [](const auto& forks, const std::string& what) {
-    for (std::size_t i = 0; i < engine::kNumForkPhases; ++i) {
-      const auto phase = static_cast<engine::ForkPhase>(i);
-      const std::string name = engine::fork_phase_name(phase);
-      if (phase == engine::ForkPhase::kMachineTile ||
-          phase == engine::ForkPhase::kRegime1Relocate)
-        EXPECT_GT(forks[i], 0u) << what << ": " << name;
-      else
-        EXPECT_EQ(forks[i], 0u) << what << ": " << name;
-    }
-  };
-  check(multiproc_phase_forks<1>(
-            workload::make_mix_guest<1>({64}, 64, 2, 1234), spec(1, 64, 4, 2),
-            /*s=*/4),
-        "d=1");
-  check(multiproc_phase_forks<2>(
-            workload::make_mix_guest<2>({8, 8}, 8, 1, 4321),
-            machine::MachineSpec{2, 64, 4, 1}, /*s=*/2),
-        "d=2");
-}
-
-TEST(ParallelGrainIdentity, MultiprocEmitConformance) {
-  // The op stream is emitted on the canonical-order replay path, so it
-  // must be byte-identical whether the run forked or not — and its
-  // makespan must still reproduce the simulator's virtual time.
-  auto g = workload::make_mix_guest<1>({64}, 64, 2, 77);
-  machine::MachineSpec host{1, 64, 4, 2};
-  sim::MultiprocConfig cfg;
-  cfg.s = 4;
-
-  sim::MultiprocSimulator<1> serial(&g, host, cfg);
-  sched::ParallelSchedule<1> ref(host.p);
-  serial.set_emit(&ref);
-  auto sres = serial.run();
-
-  const int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(2);
-  sim::MultiprocConfig fcfg = cfg;
-  fcfg.reloc_grain = 2;
-  fcfg.wave_grain = 2;
-  engine::Pool pool(4);
-  auto bind = pool.bind_caller();
-  sim::MultiprocSimulator<1> forked(&g, host, fcfg);
-  sched::ParallelSchedule<1> got(host.p);
-  forked.set_emit(&got);
-  auto fres = forked.run();
-  sep::set_default_parallel_grain(saved);
-
-  EXPECT_EQ(fres.time, sres.time);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    const auto& a = ref.ops()[i];
-    const auto& b = got.ops()[i];
-    EXPECT_EQ(a.kind, b.kind) << "op " << i;
-    EXPECT_EQ(a.proc, b.proc) << "op " << i;
-    EXPECT_EQ(a.words, b.words) << "op " << i;
-    EXPECT_EQ(bits_of(a.addr_scale), bits_of(b.addr_scale)) << "op " << i;
-    EXPECT_EQ(bits_of(a.distance), bits_of(b.distance)) << "op " << i;
-    EXPECT_EQ(a.leaf_lo, b.leaf_lo) << "op " << i;
-    EXPECT_EQ(a.leaf_hi, b.leaf_hi) << "op " << i;
-  }
-  EXPECT_EQ(bits_of(got.makespan_under(g.stencil, host.access_fn())),
-            bits_of(ref.makespan_under(g.stencil, host.access_fn())));
-}
-
-TEST(ParallelGrainIdentity, NestedSweepAndSimulatorForksShareThePool) {
-  // Second nesting level: sweep points fork across the Pool, and each
-  // point's simulator forks its waves/relocations into the *same*
-  // scheduler (sweep workers are bound to slots, so TaskScope finds
-  // it) — no second pool, and the rows stay byte-identical across pool
-  // sizes.
-  const int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(2);
-  auto run_rows = [&](int threads) {
-    engine::Pool pool(threads);
-    std::vector<int> points{0, 1, 2, 3};
-    return engine::sweep_map<std::uint64_t>(
-        pool, points, [&](int pt, engine::SweepContext&) {
-          auto g = workload::make_mix_guest<1>(
-              {32}, 32, 2, 100 + static_cast<std::uint64_t>(pt));
-          sim::MultiprocConfig cfg;
-          cfg.s = 4;
-          cfg.reloc_grain = 2;
-          cfg.wave_grain = 2;
-          auto res = sim::simulate_multiproc<1>(g, spec(1, 32, 4, 2), cfg);
-          return bits_of(res.time) ^
-                 static_cast<std::uint64_t>(res.vertices);
-        });
-  };
-  auto ref = run_rows(1);
-  EXPECT_EQ(run_rows(2), ref);
-  EXPECT_EQ(run_rows(4), ref);
-  sep::set_default_parallel_grain(saved);
 }
 
 TEST(FailureInjection, WrongRuleIsDetected) {

@@ -67,8 +67,7 @@ std::string metrics_fixture() {
     pass.threads = threads;
     pass.seconds = 2.0 / threads;
     pass.tasks.spawned = 12;
-    pass.tasks.phase[static_cast<std::size_t>(engine::ForkPhase::kMachineTile)]
-        .spawned = 12;
+    pass.tasks.park_ns = 3000;
     engine::SweepMetric sw;
     sw.label = "grid";
     sw.points = 2;
@@ -195,8 +194,7 @@ void fuzz_seed(const std::string& seed_doc, const std::string& base_path,
 TEST(JsonFuzz, CommittedBenchBaselinesSurviveMutation) {
   std::uint64_t stream = 1;
   for (const char* name :
-       {"BENCH_exec_batch.json", "BENCH_exec_hotpath.json",
-        "BENCH_exec_parallel.json", "BENCH_sim_scaling.json"}) {
+       {"BENCH_exec_batch.json", "BENCH_exec_hotpath.json"}) {
     const std::string path = std::string(BSMP_BENCH_DIR) + "/" + name;
     const std::string doc = read_file(path);
     ASSERT_TRUE(json::parse(doc).ok) << path;

@@ -150,7 +150,7 @@ TEST(Metrics, JsonSchemaContainsEveryStableField) {
   sample_report().write_json(os);
   const std::string j = os.str();
   for (const char* key :
-       {"\"schema\": \"bsmp-metrics-v5\"", "\"name\": \"unit\"",
+       {"\"schema\": \"bsmp-metrics-v6\"", "\"name\": \"unit\"",
         "\"speedup\"", "\"manifest\"", "\"git_sha\"", "\"build_type\"",
         "\"compiler\"", "\"hardware_threads\"", "\"num_cpus\"",
         "\"hostname\"", "\"simd_isa\"", "\"trace_compiled\"",
@@ -161,12 +161,14 @@ TEST(Metrics, JsonSchemaContainsEveryStableField) {
         "\"occupancy\"", "\"per_point\"", "\"queue_wait_s\"", "\"run_s\"",
         "\"label\": \"hot A\"", "\"vertices\": 1000",
         "\"vertices_per_sec\": 2000", "\"peak_staging_words\": 64",
-        "\"staging_allocs\": 4", "\"calibration_points\""}) {
+        "\"staging_allocs\": 4", "\"calibration_points\"", "\"park_ns\""}) {
     EXPECT_NE(j.find(key), std::string::npos) << "missing " << key << "\n"
                                               << j;
   }
-  // v5 drops the arena "mem" block and the cache residency fields.
-  for (const char* key : {"\"mem\"", "\"cold_allocs\"", "\"bytes\""}) {
+  // v5 drops the arena "mem" block and the cache residency fields, v6
+  // the per-tasks "phases" split.
+  for (const char* key :
+       {"\"mem\"", "\"cold_allocs\"", "\"bytes\"", "\"phases\""}) {
     EXPECT_EQ(j.find(key), std::string::npos) << "dropped key " << key;
   }
 }

@@ -2,7 +2,7 @@
 // direct guest run, runtime topological-partition assertions, space
 // bounds, Proposition-3 cost conformance, the leaf's charged event
 // counts against their closed form, and the StagingStore level
-// lifecycle (prune, move, shard merge, span erase).
+// lifecycle (prune, move, span erase).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -386,35 +386,8 @@ TEST(StagingStore, MovedFromStoreIsEmptyAndTargetKeepsValues) {
   EXPECT_EQ(c.size(), 2u);
 }
 
-// A merged shard pre-touches every level it wrote, even one whose
-// values it erased again, so the base counts the same level
-// materializations as the same writes made directly to one store.
-TEST(StagingStore, ShardMergeKeepsLevelAllocsEqualToSerial) {
-  auto st = line_stencil(16, 6, 2);
-  StagingStore<1> serial(&st);
-  StagingStore<1> base(&st);
-  serial.insert(at1(0, 0), sep::Word(1));
-  base.insert(at1(0, 0), sep::Word(1));
-  auto write = [](auto& store, int round) {
-    store.insert(at1(1, 1), sep::Word(10 + round));
-    store.insert(at1(2, 4), sep::Word(20 + round));
-    store.insert(at1(3, 5), sep::Word(30 + round));
-    store.erase(at1(3, 5));
-  };
-  for (int round = 0; round < 3; ++round) {
-    write(serial, round);
-    sep::StagingShard<1> shard(sep::overlay, base);
-    write(shard, round);
-    shard.merge_into(base);
-  }
-  EXPECT_EQ(base.level_allocs(), 4u);  // levels 0, 1, 4 and 5, once each
-  EXPECT_EQ(base.level_allocs(), serial.level_allocs());
-  EXPECT_EQ(base.size(), 3u);  // (0,0), (1,1), (2,4)
-  EXPECT_EQ(contents(base), contents(serial));
-}
-
 // erase_span removes the live cells of a run and skips the absent
-// ones, like one erase() per cell, on a store and on a shard.
+// ones, like one erase() per cell.
 TEST(StagingStore, EraseSpanMatchesPointErases) {
   auto st = line_stencil(16, 6, 2);
   StagingStore<1> spans(&st);
@@ -428,11 +401,4 @@ TEST(StagingStore, EraseSpanMatchesPointErases) {
   EXPECT_EQ(contents(spans), contents(points));
   EXPECT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans.erase_span(at1(0, 4), 16), 0);  // level never written
-
-  sep::StagingShard<1> shard(sep::overlay, spans);
-  shard.insert(at1(7, 3), sep::Word(1));
-  shard.insert(at1(8, 3), sep::Word(2));
-  EXPECT_EQ(shard.erase_span(at1(6, 3), 3), 2);
-  EXPECT_EQ(shard.size(), 0u);
-  EXPECT_NE(shard.find(at1(2, 2)), nullptr);  // base values untouched
 }

@@ -10,7 +10,7 @@
 //     carries its kernel with the vector path on equals both the
 //     forced-scalar run and the type-erased (FunctionKernel) run in every
 //     charged bit, event count, peak, slab count and final value,
-//     across d in {1,2} x Pool {1,4} x fork grain {off, 4}, with the
+//     across d in {1,2} x Pool {1,4}, with the
 //     reference's values checked against the direct guest run and the
 //     vector-path runs' leaves checked to have taken the row path;
 //   * fallback dispatch: simd::set_enabled(false) reports the scalar
@@ -107,12 +107,11 @@ struct Outcome {
 /// in while everything else stays the wavefront loop of the sims.
 template <int D>
 Outcome<D> drive(const sep::Guest<D>& g, sep::StagingStore<D>& staging,
-                 std::int64_t tile, std::int64_t leaf, std::int64_t grain,
+                 std::int64_t tile, std::int64_t leaf,
                  const sep::Rule<D>& rule) {
   sep::ExecutorConfig cfg;
   cfg.leaf_width = leaf;
   cfg.f = hram::AccessFn::hierarchical(D, 4.0);
-  cfg.parallel_grain = grain;
   sep::Guest<D> guest = g;
   guest.rule = rule;
   sep::Executor<D, sep::Word> exec(&guest, cfg);
@@ -152,7 +151,7 @@ void expect_same_outcome(const Outcome<D>& got, const Outcome<D>& want,
       << what << ": final values diverged";
 }
 
-/// The d x Pool x grain differential for one kernel: SIMD on == SIMD
+/// The d x Pool differential for one kernel: SIMD on == SIMD
 /// off == type-erased rule, in every pinned field.
 template <int D, class Kernel>
 void run_differential(const sep::Guest<D>& g, Kernel kernel,
@@ -164,29 +163,25 @@ void run_differential(const sep::Guest<D>& g, Kernel kernel,
   sep::simd::set_enabled(false);
   sep::StagingStore<D> ref_staging(&g.stencil);
   Outcome<D> ref =
-      drive<D>(g, ref_staging, tile, leaf, 0, sep::type_erased(g.rule));
+      drive<D>(g, ref_staging, tile, leaf, sep::type_erased(g.rule));
   EXPECT_TRUE(
       sim::same_values<D>(ref.fin, sim::reference_run<D>(g).final_values))
       << what << ": reference diverged from the direct guest run";
 
   for (bool vector_path : {true, false}) {
     sep::simd::set_enabled(vector_path);
-    for (std::int64_t grain : {std::int64_t{0}, std::int64_t{4}}) {
-      for (int threads : {1, 4}) {
-        engine::Pool pool(threads);
-        auto bind = pool.bind_caller();
-        const std::string label =
-            what + (vector_path ? " simd" : " scalar") +
-            " grain=" + std::to_string(grain) +
-            " threads=" + std::to_string(threads);
-        sep::StagingStore<D> staging(&g.stencil);
-        const Outcome<D> got = drive<D>(g, staging, tile, leaf, grain, kernel);
-        expect_same_outcome<D>(got, ref, label);
-        // The tile and leaf must reach the row path, or the simd and
-        // scalar runs compare the scalar loop with itself.
-        EXPECT_EQ(got.row_leaves > 0, vector_path && BSMP_SIMD_ENABLED != 0)
-            << label << ": row leaves " << got.row_leaves;
-      }
+    for (int threads : {1, 4}) {
+      engine::Pool pool(threads);
+      auto bind = pool.bind_caller();
+      const std::string label = what + (vector_path ? " simd" : " scalar") +
+                                " threads=" + std::to_string(threads);
+      sep::StagingStore<D> staging(&g.stencil);
+      const Outcome<D> got = drive<D>(g, staging, tile, leaf, kernel);
+      expect_same_outcome<D>(got, ref, label);
+      // The tile and leaf must reach the row path, or the simd and
+      // scalar runs compare the scalar loop with itself.
+      EXPECT_EQ(got.row_leaves > 0, vector_path && BSMP_SIMD_ENABLED != 0)
+          << label << ": row leaves " << got.row_leaves;
     }
   }
 }
@@ -271,7 +266,7 @@ TEST(SimdKernels, DisabledSwitchReportsScalarDispatch) {
 }
 
 // ---------------------------------------------------------------------
-// Full-volume executor differential: d x Pool x grain, with
+// Full-volume executor differential: d x Pool, with
 // the vector path on and off, against the type-erased reference.
 // ---------------------------------------------------------------------
 

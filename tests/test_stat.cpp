@@ -217,7 +217,6 @@ TEST(Json, CommittedArtifactsParse) {
   // under the strict grammar.
   for (const char* name :
        {"BENCH_exec_batch.json", "BENCH_exec_hotpath.json",
-        "BENCH_exec_parallel.json", "BENCH_sim_scaling.json",
         "tolerances.json"}) {
     auto p = json::parse_file(std::string(BSMP_BENCH_DIR) + "/" + name);
     EXPECT_TRUE(p.ok) << p.error;
@@ -427,7 +426,7 @@ TEST(StatFit, ReadsCalibrationPointsTheSerializerWrites) {
 
   auto loaded = stat::load_artifact(path);
   ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.artifact.schema, "bsmp-metrics-v5");
+  EXPECT_EQ(loaded.artifact.schema, "bsmp-metrics-v6");
   std::ostringstream out;
   EXPECT_EQ(stat::run_fit(loaded.artifact, out), stat::kExitOk) << out.str();
   EXPECT_NE(out.str().find("over 4 training points (1 holdout)"),

@@ -2,12 +2,14 @@
 // Pool::parallel_for, which is fork/join on it: nested calls (the
 // former "must not be nested" deadlock), empty ranges, one outside
 // caller at a time, single-thread inline ordering (the sequential
-// reference execution), exception contracts, and the TaskStats
-// counters.
+// reference execution), exception contracts, the TaskStats counters,
+// and that the simulators never fork into the layer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,11 @@
 #include "engine/pool.hpp"
 #include "engine/sweep.hpp"
 #include "engine/task.hpp"
+#include "machine/spec.hpp"
+#include "sep/staging.hpp"
+#include "sim/dc_uniproc.hpp"
+#include "sim/multiproc.hpp"
+#include "workload/rules.hpp"
 
 using namespace bsmp;
 
@@ -294,52 +301,7 @@ TEST(TaskStatsCounters, ResetAndAccumulate) {
   EXPECT_EQ(s.stolen, 0u);
   EXPECT_EQ(s.steal_ops, 0u);
   EXPECT_EQ(s.join_waits, 0u);
-  for (const auto& p : s.phase) {
-    EXPECT_EQ(p.spawned, 0u);
-    EXPECT_EQ(p.inlined, 0u);
-    EXPECT_EQ(p.join_waits, 0u);
-    EXPECT_EQ(p.park_ns, 0u);
-  }
-}
-
-TEST(TaskStatsCounters, PhaseAttributionSplitsForks) {
-  // Scopes tagged with a ForkPhase attribute their spawned/inlined
-  // counts to that phase; untagged scopes land under kNone. The phase
-  // slices sum to the aggregate counters.
-  engine::Pool pool(2);
-  {
-    auto bind = pool.bind_caller();
-    engine::TaskScope waves(engine::ForkPhase::kMachineTile);
-    for (int i = 0; i < 5; ++i) waves.fork([] {});
-    waves.join();
-    engine::TaskScope reloc(engine::ForkPhase::kRegime1Relocate);
-    for (int i = 0; i < 3; ++i) reloc.fork([] {});
-    reloc.join();
-    engine::TaskScope untagged;
-    untagged.fork([] {});
-    untagged.join();
-  }
-  engine::TaskStats s = pool.task_stats();
-  auto at = [&](engine::ForkPhase p) -> const engine::PhaseTaskStats& {
-    return s.phase[static_cast<std::size_t>(p)];
-  };
-  EXPECT_EQ(at(engine::ForkPhase::kMachineTile).spawned +
-                at(engine::ForkPhase::kMachineTile).inlined,
-            5u);
-  EXPECT_EQ(at(engine::ForkPhase::kRegime1Relocate).spawned +
-                at(engine::ForkPhase::kRegime1Relocate).inlined,
-            3u);
-  EXPECT_EQ(at(engine::ForkPhase::kNone).spawned +
-                at(engine::ForkPhase::kNone).inlined,
-            1u);
-  std::uint64_t phase_total = 0, phase_waits = 0;
-  for (const auto& p : s.phase) {
-    phase_total += p.spawned + p.inlined;
-    phase_waits += p.join_waits;
-  }
-  EXPECT_EQ(phase_total, s.spawned + s.inlined);
-  EXPECT_EQ(phase_waits, s.join_waits);
-  pool.reset_task_stats();
+  EXPECT_EQ(s.park_ns, 0u);
 }
 
 TEST(TaskStatsCounters, ParallelForIndicesAreTasks) {
@@ -375,14 +337,77 @@ TEST(TaskStatsCounters, ParallelForIndicesAreTasks) {
   }
 }
 
-TEST(TaskStatsCounters, PhaseNamesAreStable) {
-  EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kNone), "none");
-  EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kMachineTile),
-               "machine-tile");
-  EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kRegime1Relocate),
-               "regime1-relocate");
-  EXPECT_STREQ(engine::fork_phase_name(engine::ForkPhase::kExecutorLeaf),
-               "executor-leaf");
+// ---------------------------------------------------------------------
+// The simulators never fork: a simulator call runs on the thread that
+// makes it, so with a 4-slot pool bound it spawns and inlines no task
+// and charges the same bits as without one. The configs are the
+// benchmark's multiproc scaling mix (its d=1 guest scaled from n=1024
+// to 256, with s=8 so regime 1 still bisects) plus one dc_uniproc
+// call, run with the grain settings the benchmark passes.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct Charged {
+  std::array<std::uint64_t, core::CostLedger::kNumKinds> cost_bits{};
+  std::array<std::uint64_t, core::CostLedger::kNumKinds> events{};
+  std::uint64_t time_bits = 0;
+  std::int64_t vertices = 0;
+
+  bool operator==(const Charged&) const = default;
+};
+
+template <int D>
+Charged charged(const sim::SimResult<D>& r) {
+  Charged c;
+  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
+    const auto kind = static_cast<core::CostKind>(i);
+    const double cost = r.ledger.cost(kind);
+    std::memcpy(&c.cost_bits[i], &cost, sizeof cost);
+    c.events[i] = r.ledger.events(kind);
+  }
+  std::memcpy(&c.time_bits, &r.time, sizeof r.time);
+  c.vertices = r.vertices;
+  return c;
+}
+
+template <int D>
+Charged multiproc(const sep::Guest<D>& g, const machine::MachineSpec& host,
+                  std::int64_t s, std::int64_t reloc_grain) {
+  sim::MultiprocConfig cfg;
+  cfg.s = s;
+  cfg.reloc_grain = reloc_grain;
+  cfg.wave_grain = 2;
+  return charged<D>(sim::simulate_multiproc<D>(g, host, cfg));
+}
+
+}  // namespace
+
+TEST(SimulatorTasks, SimulatorsNeverFork) {
+  sep::set_default_parallel_grain(16);
+  const auto d1 = workload::make_mix_guest<1>({256}, 256, 2, 11);
+  const auto d2 = workload::make_mix_guest<2>({32, 32}, 32, 1, 12);
+  const auto dc = workload::make_mix_guest<1>({128}, 128, 1, 13);
+  auto run_all = [&] {
+    return std::vector<Charged>{
+        multiproc<1>(d1, machine::MachineSpec{1, 256, 16, 2}, 8, 64),
+        multiproc<2>(d2, machine::MachineSpec{2, 1024, 16, 1}, 4, 4),
+        charged<1>(sim::simulate_dc_uniproc<1>(
+            dc, machine::MachineSpec{1, 128, 1, 1})),
+    };
+  };
+  const std::vector<Charged> serial = run_all();
+
+  engine::Pool pool(4);
+  auto bind = pool.bind_caller();
+  pool.reset_task_stats();
+  const std::vector<Charged> pooled = run_all();
+  const engine::TaskStats s = pool.task_stats();
+  EXPECT_EQ(s.spawned + s.inlined, 0u);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_TRUE(pooled[i] == serial[i]) << "call " << i;
+  sep::set_default_parallel_grain(0);
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // The central contract: the *set* of spans in the deterministic
 // categories (everything except Cat::kTask) is a pure function of the
 // executed work — identical names, labels, args, and counts at every
-// pool size and fork grain. Timestamps and thread assignment are
+// pool size. Timestamps and thread assignment are
 // scheduling noise; identity is compared through sorted signatures and
 // the order-independent digest, never through timing.
 #include <gtest/gtest.h>
@@ -97,16 +97,13 @@ void run_workload(int threads) {
   EXPECT_EQ(rows[0], rows[1]) << "both points execute the same guest";
 }
 
-/// Run the workload under one (threads, grain) config with a clean
-/// recorder and return the deterministic signature.
-std::vector<Sig> traced_signature(int threads, std::int64_t grain) {
-  const std::int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(grain);
+/// Run the workload on a pool of `threads` with a clean recorder and
+/// return the deterministic signature.
+std::vector<Sig> traced_signature(int threads) {
   trace::clear();
   trace::set_enabled(true);
   run_workload(threads);
   trace::set_enabled(false);
-  sep::set_default_parallel_grain(saved);
   return deterministic_signature();
 }
 
@@ -126,7 +123,7 @@ TEST(TraceUnits, DisabledRecorderRecordsNothing) {
 
 TEST(TraceDeterminism, SpanSetIdenticalAcrossPoolAndGrain) {
   if (!trace::compiled()) GTEST_SKIP() << "BSMP_TRACE compiled out";
-  const std::vector<Sig> ref = traced_signature(1, 0);
+  const std::vector<Sig> ref = traced_signature(1);
   ASSERT_FALSE(ref.empty());
 
   // Every execution layer shows up in the reference signature.
@@ -137,13 +134,9 @@ TEST(TraceDeterminism, SpanSetIdenticalAcrossPoolAndGrain) {
     EXPECT_TRUE(has_span(ref, name)) << "missing span: " << name;
   }
 
-  for (int threads : {1, 2, 4}) {
-    for (std::int64_t grain : {std::int64_t{0}, std::int64_t{4}}) {
-      if (threads == 1 && grain == 0) continue;  // the reference itself
-      EXPECT_EQ(traced_signature(threads, grain), ref)
-          << "deterministic span set moved at threads=" << threads
-          << " grain=" << grain;
-    }
+  for (int threads : {2, 4}) {
+    EXPECT_EQ(traced_signature(threads), ref)
+        << "deterministic span set moved at threads=" << threads;
   }
   trace::clear();
 }
@@ -169,13 +162,10 @@ TEST(TraceDeterminism, DigestStableAcrossIdenticalRuns) {
 
 TEST(TraceFlush, ChromeJsonIsBalancedAndCarriesManifest) {
   if (!trace::compiled()) GTEST_SKIP() << "BSMP_TRACE compiled out";
-  const std::int64_t saved = sep::default_parallel_grain();
-  sep::set_default_parallel_grain(4);  // kTask spans need real forks
   trace::clear();
   trace::set_enabled(true);
-  run_workload(4);
+  run_workload(4);  // spawned sweep points record kTask spans
   trace::set_enabled(false);
-  sep::set_default_parallel_grain(saved);
 
   trace::RunManifest manifest = trace::make_run_manifest("trace_test");
   const std::string path = "trace_test_flush.json";
