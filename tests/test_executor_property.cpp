@@ -6,8 +6,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <string>
 
+#include "engine/metrics.hpp"
+#include "engine/pool.hpp"
+#include "engine/task.hpp"
 #include "geom/tiling.hpp"
 #include "sep/executor.hpp"
 #include "sim/dc_uniproc.hpp"
@@ -424,4 +428,204 @@ TEST(FailureInjection, WrongRuleIsDetected) {
   auto r1 = sim::reference_run<1>(g1);
   auto r2 = sim::reference_run<1>(g2);
   EXPECT_FALSE(sim::same_values<1>(r1.final_values, r2.final_values));
+}
+
+// ---------------------------------------------------------------------
+// Multiproc pool and grain identity: a multiproc run on a bound pool,
+// with the (inert) reloc/wave grains and the executor grain set, must
+// be bit-identical to the serial run with no pool — per-kind charged
+// costs (bitwise doubles), event counts, virtual time, utilization,
+// vertices, peak staging, slab allocations and final values — across
+// Pool {1,2,4} × grain {2, huge}, d=1 and d=2. The simulators charge
+// the paper's p processors but run on the calling thread, so these
+// also pin that nothing in a simulator call depends on the pool.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct MpOutcome {
+  std::array<std::uint64_t, core::CostLedger::kNumKinds> cost_bits{};
+  std::array<std::uint64_t, core::CostLedger::kNumKinds> events{};
+  std::int64_t vertices = 0;
+  std::uint64_t time_bits = 0, util_bits = 0;
+  std::size_t peak = 0;
+  std::size_t allocs = 0;
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  static_assert(sizeof v == sizeof b);
+  std::memcpy(&b, &v, sizeof v);
+  return b;
+}
+
+struct MpGrains {
+  int64_t reloc, wave;
+};
+
+/// Run the multiproc simulator under one grains config and return
+/// everything the determinism contract pins.
+template <int D, class V>
+MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
+                        const machine::MachineSpec& host, int64_t s,
+                        MpGrains grains, sim::FinalValues<D, V>& fin_out) {
+  engine::Metrics metrics;
+  sim::MultiprocConfig cfg;
+  cfg.s = s;
+  cfg.reloc_grain = grains.reloc;
+  cfg.wave_grain = grains.wave;
+  cfg.metrics = &metrics;
+  auto res = sim::simulate_multiproc<D, V>(g, host, cfg);
+
+  MpOutcome out;
+  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
+    auto kind = static_cast<core::CostKind>(i);
+    out.cost_bits[i] = bits_of(res.ledger.cost(kind));
+    out.events[i] = res.ledger.events(kind);
+  }
+  out.vertices = res.vertices;
+  out.time_bits = bits_of(res.time);
+  out.util_bits = bits_of(res.utilization);
+  auto hot = metrics.hot_snapshot();
+  EXPECT_EQ(hot.size(), 1u);
+  if (!hot.empty()) {
+    out.peak = hot[0].peak_staging_words;
+    out.allocs = hot[0].staging_allocs;
+  }
+  fin_out = std::move(res.final_values);
+  return out;
+}
+
+void expect_mp_eq(const MpOutcome& a, const MpOutcome& b,
+                  const std::string& what) {
+  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
+    EXPECT_EQ(a.cost_bits[i], b.cost_bits[i])
+        << what << ": cost kind " << i << " not bit-identical";
+    EXPECT_EQ(a.events[i], b.events[i]) << what << ": events kind " << i;
+  }
+  EXPECT_EQ(a.vertices, b.vertices) << what;
+  EXPECT_EQ(a.time_bits, b.time_bits) << what << ": virtual time";
+  EXPECT_EQ(a.util_bits, b.util_bits) << what << ": utilization";
+  EXPECT_EQ(a.peak, b.peak) << what << ": peak staging";
+  EXPECT_EQ(a.allocs, b.allocs) << what << ": slab allocs";
+}
+
+/// The full matrix for one guest: the serial, unbound reference vs
+/// every (grain combo, pool size) with the executor grain set too.
+template <int D, class V>
+void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
+                           const machine::MachineSpec& host, int64_t s) {
+  const MpGrains kOff{0, 0};
+  const int64_t huge = int64_t{1} << 30;
+  const MpGrains combos[] = {{2, 0}, {0, 2}, {2, 2}, {huge, huge}};
+
+  sim::FinalValues<D, V> ref_fin;
+  auto ref = run_multiproc<D>(g, host, s, kOff, ref_fin);
+  // The serial run itself against the direct guest run.
+  EXPECT_TRUE(
+      sim::same_values<D>(ref_fin, sim::reference_run<D>(g).final_values));
+
+  sep::set_default_parallel_grain(2);
+  for (const MpGrains& gr : combos) {
+    for (int threads : {1, 2, 4}) {
+      engine::Pool pool(threads);
+      auto bind = pool.bind_caller();
+      sim::FinalValues<D, V> fin;
+      auto got = run_multiproc<D>(g, host, s, gr, fin);
+      const std::string what =
+          "d=" + std::to_string(D) + " reloc=" + std::to_string(gr.reloc) +
+          " wave=" + std::to_string(gr.wave) +
+          " threads=" + std::to_string(threads);
+      expect_mp_eq(ref, got, what);
+      EXPECT_TRUE(sim::same_values<D>(ref_fin, fin)) << what;
+    }
+  }
+  sep::set_default_parallel_grain(0);
+}
+
+/// Every task counter after one multiproc run with reloc/wave grains 2
+/// (and the executor grain 2) on a bound 4-slot pool.
+template <int D>
+engine::TaskStats multiproc_task_stats(const sep::Guest<D>& g,
+                                       const machine::MachineSpec& host,
+                                       int64_t s) {
+  sep::set_default_parallel_grain(2);
+  sim::MultiprocConfig cfg;
+  cfg.s = s;
+  cfg.reloc_grain = 2;
+  cfg.wave_grain = 2;
+  engine::Pool pool(4);
+  engine::TaskStats stats;
+  {
+    auto bind = pool.bind_caller();
+    pool.reset_task_stats();
+    sim::simulate_multiproc<D>(g, host, cfg);
+    stats = pool.task_stats();
+  }
+  sep::set_default_parallel_grain(0);
+  return stats;
+}
+
+}  // namespace
+
+TEST(ParallelGrainIdentity, MultiprocWaveForkingBitIdentical) {
+  // Time, utilization, vertices, totals and final values of a bound,
+  // grain-set run equal the unbound serial run.
+  auto g = workload::make_mix_guest<1>({32}, 32, 2, 9);
+  sim::MultiprocConfig cfg;
+  cfg.s = 4;
+  auto ref = sim::simulate_multiproc<1>(g, spec(1, 32, 4, 2), cfg);
+  sep::set_default_parallel_grain(2);
+  sim::MultiprocConfig fcfg = cfg;
+  fcfg.reloc_grain = 2;
+  fcfg.wave_grain = 2;
+  for (int threads : {1, 2, 4}) {
+    engine::Pool pool(threads);
+    auto bind = pool.bind_caller();
+    auto got = sim::simulate_multiproc<1>(g, spec(1, 32, 4, 2), fcfg);
+    EXPECT_EQ(got.time, ref.time) << "threads=" << threads;
+    EXPECT_EQ(got.utilization, ref.utilization) << "threads=" << threads;
+    EXPECT_EQ(got.vertices, ref.vertices) << "threads=" << threads;
+    EXPECT_EQ(got.ledger.total(), ref.ledger.total())
+        << "threads=" << threads;
+    EXPECT_TRUE(sim::same_values<1>(got.final_values, ref.final_values))
+        << "threads=" << threads;
+  }
+  sep::set_default_parallel_grain(0);
+}
+
+TEST(ParallelGrainIdentity, MultiprocD1ForkMatrixBitIdentical) {
+  auto g = workload::make_mix_guest<1>({64}, 64, 2, 1234);
+  multiproc_fork_matrix<1>(g, spec(1, 64, 4, 2), /*s=*/4);
+}
+
+TEST(ParallelGrainIdentity, MultiprocD2ForkMatrixBitIdentical) {
+  auto g = workload::make_mix_guest<2>({8, 8}, 8, 1, 4321);
+  multiproc_fork_matrix<2>(g, machine::MachineSpec{2, 64, 4, 1}, /*s=*/2);
+}
+
+TEST(ParallelGrainIdentity, MultiprocForksOnlyMachineTilesAndRelocations) {
+  // Machine tiles and regime-1 relocation runs were the only multiproc
+  // forks, and they are gone: on the fork-matrix configs, with every
+  // grain set and a pool bound, a multiproc run spawns and inlines no
+  // task in any phase, and parks no worker on a join.
+  auto check = [](const engine::TaskStats& s, const std::string& what) {
+    EXPECT_EQ(s.spawned, 0u) << what;
+    EXPECT_EQ(s.inlined, 0u) << what;
+    EXPECT_EQ(s.join_waits, 0u) << what;
+    for (std::size_t i = 0; i < engine::kNumForkPhases; ++i) {
+      const std::string name =
+          engine::fork_phase_name(static_cast<engine::ForkPhase>(i));
+      EXPECT_EQ(s.phase[i].spawned + s.phase[i].inlined, 0u)
+          << what << ": " << name;
+    }
+  };
+  check(multiproc_task_stats<1>(
+            workload::make_mix_guest<1>({64}, 64, 2, 1234), spec(1, 64, 4, 2),
+            /*s=*/4),
+        "d=1");
+  check(multiproc_task_stats<2>(
+            workload::make_mix_guest<2>({8, 8}, 8, 1, 4321),
+            machine::MachineSpec{2, 64, 4, 1}, /*s=*/2),
+        "d=2");
 }
