@@ -777,9 +777,28 @@ class Region {
   // preboundary's lower shell, the out-set's successor positions), so
   // the key adds, per wall (t = 0, the horizon, x_i = 0 and
   // x_i = extent_i - 1), the box's distance from it in doubled units,
-  // clamped at 2R: from 2R on the wall cuts nothing within reach and
-  // its exact distance no longer matters. Below the clamp an equal
-  // distance puts the wall at the same place relative to both boxes.
+  // clamped where the wall stops cutting anything within reach: from
+  // there on its exact distance no longer matters. Below the clamp an
+  // equal distance puts the wall at the same place relative to both
+  // boxes.
+  //
+  // The clamp differs by wall. The t walls need 2R: the self arc
+  // (x, t - m) reaches m steps back. But every arc moves each x_i by at
+  // most one node, and the box's own vertices, its preboundary (their
+  // predecessors), its out-set (vertices with a successor outside it),
+  // the retention filter (the children's out-sets) and the split's
+  // children all lie within one node of the box's x range. An x-wall
+  // term is the doubled distance from the wall to the box's extreme
+  // x-face, and the box's vertex nearest the wall lies at least half
+  // that far from it. So once the term reaches 2, that vertex is a node
+  // or more away and the wall clips none of these sets, and translates
+  // whose x-wall terms clamp alike have byte-identical counts, lists
+  // and children. The x-wall terms therefore clamp at 2, the stencil's
+  // x reach in doubled units, and a subtile shape makes one class per
+  // pair of t-wall distances instead of one per t-wall and x-wall
+  // distance. (A term of 1 is also a node away, but a clamp of 1
+  // crowds the memo's sets: doc/PERF.md §2.)
+  //
   // The key holds m but no stencil pointer, so translates on different
   // stencils share entries.
   //
@@ -810,6 +829,7 @@ class Region {
   bool memo_key(typename Memo::Key& key) const {
     const Stencil<D>& st = *stencil_;
     const int64_t r2 = 2 * st.reach();
+    constexpr int64_t x2 = 2;  // doubled x reach: arcs move x_i by <= 1
     std::array<int64_t, Memo::kKeyLen> v;
     int n = 0;
     for (int k = 0; k < K; ++k) v[n++] = hi_[k] - lo_[k];
@@ -832,9 +852,9 @@ class Region {
     v[n++] = std::min(sum_lo, r2);
     v[n++] = std::min(2 * (st.horizon - 1) - (sum_hi - 2), r2);
     for (int i = 0; i < D; ++i) {
-      v[n++] = std::min(lo_[2 * i] - hi_[2 * i + 1] + 1, r2);
+      v[n++] = std::min(lo_[2 * i] - hi_[2 * i + 1] + 1, x2);
       v[n++] = std::min(
-          2 * (st.extent[i] - 1) - (hi_[2 * i] - lo_[2 * i + 1] - 1), r2);
+          2 * (st.extent[i] - 1) - (hi_[2 * i] - lo_[2 * i + 1] - 1), x2);
     }
     for (int j = 0; j < Memo::kKeyLen; ++j) {
       if (v[j] < std::numeric_limits<std::int32_t>::min() ||

@@ -67,8 +67,6 @@ struct RatioGate {
   std::string num, den;            ///< benchmark names
   std::string num_metric, den_metric;
   double min = 0;
-  double min_cpus = 0;    ///< gate applies only when cpus >= this
-  double den_floor = 0;   ///< clamp denominator up (warm-up gates)
 };
 
 struct DriftSpec {
@@ -91,6 +89,19 @@ bool load_spec_for(const std::string& tolerances_path,
     return false;
   }
   const json::Value& files = p.value["files"];
+  // Fields older specs carried that no gate reads any more: a spec
+  // naming one is refused, not silently read as something it is not.
+  for (const auto& [name, file] : files.members()) {
+    for (const auto& g : file["ratio_gates"].items()) {
+      for (const char* gone : {"min_cpus", "den_floor"}) {
+        if (g.has(gone)) {
+          error = "ratio gate '" + g["label"].as_string() + "' of " + name +
+                  ": field '" + gone + "' is not supported";
+          return false;
+        }
+      }
+    }
+  }
   const json::Value& spec = files[file_key];
   if (spec.is_null()) return true;  // no gates declared for this file
   for (const auto& g : spec["ratio_gates"].items()) {
@@ -102,8 +113,6 @@ bool load_spec_for(const std::string& tolerances_path,
     rg.num_metric = g.has("num_metric") ? g["num_metric"].as_string() : metric;
     rg.den_metric = g.has("den_metric") ? g["den_metric"].as_string() : metric;
     rg.min = g["min"].as_number();
-    rg.min_cpus = g["min_cpus"].as_number(0);
-    rg.den_floor = g["den_floor"].as_number(0);
     out.ratio_gates.push_back(std::move(rg));
   }
   for (const auto& d : spec["drift"].items()) {
@@ -227,11 +236,6 @@ void diff_gbench(const Artifact& baseline, const Artifact& candidate,
   std::ostream& os = st.report;
   // Ratio gates: candidate-only, hardware-independent.
   for (const RatioGate& g : spec.ratio_gates) {
-    if (g.min_cpus > 0 && candidate.num_cpus < g.min_cpus) {
-      os << "skip (needs >= " << g.min_cpus << " cpus, have "
-         << candidate.num_cpus << "): " << g.label << "\n";
-      continue;
-    }
     const json::Value& nb = find_benchmark(candidate.root, g.num);
     const json::Value& db = find_benchmark(candidate.root, g.den);
     if (nb.is_null() || db.is_null() || !nb.has(g.num_metric) ||
@@ -240,7 +244,7 @@ void diff_gbench(const Artifact& baseline, const Artifact& candidate,
       continue;
     }
     double num = nb[g.num_metric].as_number();
-    double den = std::max(db[g.den_metric].as_number(), g.den_floor);
+    double den = db[g.den_metric].as_number();
     double ratio = den > 0 ? num / den : 0.0;
     os << (ratio >= g.min ? "ok  " : "FAIL") << "  " << g.label << ": "
        << fmt(ratio) << "x (bar " << fmt(g.min) << "x)\n";

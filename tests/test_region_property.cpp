@@ -485,6 +485,102 @@ TEST_P(RegionMemoExhaustive, TranslatesShareAnswers) {
 INSTANTIATE_TEST_SUITE_P(M, RegionMemoExhaustive,
                          ::testing::Values(1, 2, 3, 5));
 
+// The key's x-wall terms clamp at the stencil's doubled x reach (2),
+// its t-wall terms at 2R. One box shape is placed at every doubled
+// distance 0..2R+2 from each x wall (the key's wall term), with every
+// other wall out of reach, in ascending distance so the box touching
+// the wall founds its class. Every memoized answer must equal the
+// direct one, and on a fresh thread the boxes must make exactly two
+// classes per x wall (terms 0 and 1) plus the classes of the far
+// boxes: the unshifted shape and, per dimension, the shape shifted by
+// a half step in t + x_i (a distance of the other parity). A clamp of
+// 0 merges a box touching a wall with one a node away and fails the
+// first check; a clamp of 1 (exact, but it merges term 1 with the odd
+// terms beyond it) or above 2 (2R, as for the t walls) fails the count.
+
+namespace {
+
+/// The boxes of shape `side` around the stencil's centre at doubled
+/// distances 0..2R+2 from each x wall, wall by wall, nearest first.
+template <int D>
+std::vector<Region<D>> x_wall_boxes(
+    const Stencil<D>& st, const std::array<int64_t, geom::kMono<D>>& side) {
+  constexpr int K = geom::kMono<D>;
+  const int64_t t = st.horizon / 2;
+  std::array<int64_t, K> base;
+  for (int i = 0; i < D; ++i) {
+    const int64_t x = st.extent[i] / 2;
+    base[2 * i] = t + x - side[2 * i] / 2;
+    base[2 * i + 1] = t - x - side[2 * i + 1] / 2;
+  }
+  const int64_t far = 2 * st.reach() + 2;
+  std::vector<Region<D>> boxes;
+  for (int i = 0; i < D; ++i) {
+    for (bool high : {false, true}) {
+      for (int64_t dist = 0; dist <= far; ++dist) {
+        // Shift along x_i by whole nodes (the term moves by 2) and by a
+        // half step in t + x_i (it moves by 1) to reach `dist`.
+        for (int64_t h : {0, 1}) {
+          for (int64_t dx = -st.extent[i]; dx <= st.extent[i]; ++dx) {
+            std::array<int64_t, K> lo = base, hi;
+            lo[2 * i] += dx + h;
+            lo[2 * i + 1] -= dx;
+            for (int k = 0; k < K; ++k) hi[k] = lo[k] + side[k];
+            const int64_t term =
+                high ? 2 * (st.extent[i] - 1) - (hi[2 * i] - lo[2 * i + 1] - 1)
+                     : lo[2 * i] - hi[2 * i + 1] + 1;
+            if (term == dist) boxes.emplace_back(&st, lo, hi);
+          }
+        }
+      }
+    }
+  }
+  return boxes;
+}
+
+template <int D>
+void check_x_wall_clamp(const Stencil<D>& st,
+                        const std::array<int64_t, geom::kMono<D>>& side) {
+  ASSERT_GT(2 * st.reach(), 2) << "the t-wall clamp must exceed the x one";
+  const std::vector<Region<D>> boxes = x_wall_boxes(st, side);
+  ASSERT_EQ(boxes.size(), static_cast<std::size_t>(
+                              2 * D * (2 * st.reach() + 3)));
+  std::size_t classes = 0;
+  std::string bad;
+  std::thread([&] {
+    for (const Region<D>& r : boxes) {
+      ASSERT_FALSE(r.empty());
+      (void)r.preboundary_count();
+    }
+    classes = Region<D>::memo_stats().entries;
+    for (const Region<D>& r : boxes) {
+      bad = memo_mismatch(r);
+      if (!bad.empty()) {
+        bad += " disagrees for " + box_str(r);
+        return;
+      }
+    }
+  }).join();
+  EXPECT_EQ(bad, "");
+  EXPECT_EQ(classes, static_cast<std::size_t>(2 * (2 * D) + 1 + D));
+}
+
+}  // namespace
+
+TEST(RegionMemoWalls, D1XWallTermsClampAtTheXReach) {
+  for (int64_t m : {3, 5}) {
+    SCOPED_TRACE("m=" + std::to_string(m));
+    const Stencil<1> st{{4 * m + 12}, 4 * m + 16, m};
+    check_x_wall_clamp<1>(st, {5, 3});
+  }
+}
+
+TEST(RegionMemoWalls, D2XWallTermsClampAtTheXReach) {
+  const int64_t m = 3;
+  const Stencil<2> st{{4 * m + 12, 4 * m + 14}, 4 * m + 16, m};
+  check_x_wall_clamp<2>(st, {4, 3, 5, 4});
+}
+
 // More classes than the memo holds, interleaved with re-queries of the
 // first class: replacement evicts it (and frees its run lists) in
 // between, and every answer, refilled or replayed, stays exact.

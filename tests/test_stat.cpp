@@ -123,10 +123,7 @@ const char* kTolerances = R"({
       "ratio_gates": [
         {"label": "simd >= 2x dense", "num": "BM_leaf_simd",
          "den": "BM_leaf_dense", "metric": "vertices_per_sec",
-         "min": 2.0},
-        {"label": "needs a big box", "num": "BM_leaf_simd",
-         "den": "BM_leaf_dense", "metric": "vertices_per_sec",
-         "min": 100.0, "min_cpus": 64}
+         "min": 2.0}
       ],
       "drift": [{"metric": "vertices_per_sec", "rel_tol": 0.25}]
     },
@@ -285,9 +282,28 @@ TEST(StatDiff, SelfCompareIsCleanAndGatesPass) {
   int code = cli({"diff", "--tolerances", tol, base, base}, &out);
   EXPECT_EQ(code, stat::kExitOk) << out;
   EXPECT_NE(out.find("0 regressions"), std::string::npos) << out;
-  // The simd gate ran (2.5x >= 2x) and the oversized-box gate skipped.
+  // The simd gate ran (2.5x >= 2x).
   EXPECT_NE(out.find("simd >= 2x dense"), std::string::npos) << out;
-  EXPECT_NE(out.find("skip (needs >= 64 cpus"), std::string::npos) << out;
+}
+
+TEST(StatDiff, RemovedGateFieldsAreRejected) {
+  // min_cpus and den_floor were dropped from the spec: naming either,
+  // in any file's gate, is a usage error that names the field.
+  auto base = write_file("base.json", gbench_doc("box", 4, 2500.0));
+  for (const char* field : {"min_cpus", "den_floor"}) {
+    const std::string spec = std::string(R"({"files": {"other.json": {
+      "ratio_gates": [{"label": "old gate", "num": "BM_leaf_simd",
+        "den": "BM_leaf_dense", "metric": "vertices_per_sec",
+        "min": 2.0, ")") + field + R"(": 64}]}}})";
+    auto tol = write_file("tol_removed.json", spec);
+    std::string out;
+    EXPECT_EQ(cli({"diff", "--tolerances", tol, base, base}, &out),
+              stat::kExitUsage)
+        << out;
+    EXPECT_NE(out.find(std::string("field '") + field + "'"),
+              std::string::npos)
+        << out;
+  }
 }
 
 TEST(StatDiff, RatioGateRegressionFailsTheCandidate) {
